@@ -1,13 +1,11 @@
 //! Optimized vs. unoptimized tape execution (the `PACE_OPT` pipeline's
 //! payoff measurement): one CE training-step tape and one attack
 //! hypergradient tape (`K = 4` unrolled virtual updates), each compiled to
-//! a [`pace_tensor::opt::TapePlan`] three ways — with every pass disabled
-//! (the reachable tape replayed verbatim into per-node buffers), with the
-//! full fold + CSE + DCE + buffer-reuse pipeline but elementwise fusion
-//! off, and with the full pipeline including fused super-steps
-//! ([`pace_tensor::fuse`]) — then replayed into a persistent arena, so the
-//! fused-vs-fuse-off pair isolates what fusion alone buys. Run with
-//! `CRITERION_JSON=BENCH_tape_opt.json` to publish the numbers.
+//! a [`pace_tensor::opt::TapePlan`] two ways — with every pass disabled
+//! (the reachable tape replayed verbatim into per-node buffers) and with
+//! the full fold + CSE + DCE + buffer-reuse pipeline — then replayed into a
+//! persistent arena. Run with `CRITERION_JSON=BENCH_tape_opt.json` to
+//! publish the numbers.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pace_ce::{q_error_loss, rows_to_matrix, CeConfig, CeModel, CeModelType, EncodedWorkload};
@@ -20,29 +18,18 @@ use pace_workload::{generate_queries, QueryEncoder, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn compile_trio(g: &Graph, outputs: &[Var], inputs: &[Var], context: &str) -> [TapePlan; 3] {
+fn compile_pair(g: &Graph, outputs: &[Var], inputs: &[Var], context: &str) -> [TapePlan; 2] {
     let unopt = optimize_with(g, outputs, inputs, context, OptConfig::baseline());
-    let fuse_off = OptConfig {
-        fuse: false,
-        ..OptConfig::default()
-    };
-    let no_fuse = optimize_with(g, outputs, inputs, context, fuse_off);
     let opt = optimize_with(g, outputs, inputs, context, OptConfig::default());
     unopt.verify(g, VERIFY_TOL).expect("baseline replay parity");
-    no_fuse
-        .verify(g, VERIFY_TOL)
-        .expect("fuse-off replay parity");
     opt.verify(g, VERIFY_TOL).expect("optimized replay parity");
     println!(
-        "{context}: {} nodes unoptimized, {} optimized (-{:.1}%), {} fused chain(s) \
-         saving {} memory pass(es)",
+        "{context}: {} nodes unoptimized, {} optimized (-{:.1}%)",
         unopt.stats().nodes_after,
         opt.stats().nodes_after,
         opt.stats().node_reduction_pct(),
-        opt.stats().fused_chains,
-        opt.stats().fused_passes_saved
     );
-    [unopt, no_fuse, opt]
+    [unopt, opt]
 }
 
 fn bench_plan(c: &mut Criterion, id: &str, plan: &TapePlan) {
@@ -78,9 +65,8 @@ fn bench_tape_opt(c: &mut Criterion) {
     let grads = g.grad(loss, bind.vars());
     let mut outputs = vec![loss];
     outputs.extend(&grads);
-    let [unopt, no_fuse, opt] = compile_trio(&g, &outputs, bind.vars(), "train_step");
+    let [unopt, opt] = compile_pair(&g, &outputs, bind.vars(), "train_step");
     bench_plan(c, "tape_opt/train_step_unoptimized", &unopt);
-    bench_plan(c, "tape_opt/train_step_fuse_off", &no_fuse);
     bench_plan(c, "tape_opt/train_step_optimized", &opt);
 
     // One attack hypergradient step at K = 4 (Eq. 9–10).
@@ -95,9 +81,8 @@ fn bench_tape_opt(c: &mut Criterion) {
         4,
         1e-2,
     );
-    let [unopt, no_fuse, opt] = compile_trio(&g, &outputs, &inputs, "hypergrad_k4");
+    let [unopt, opt] = compile_pair(&g, &outputs, &inputs, "hypergrad_k4");
     bench_plan(c, "tape_opt/hypergrad_k4_unoptimized", &unopt);
-    bench_plan(c, "tape_opt/hypergrad_k4_fuse_off", &no_fuse);
     bench_plan(c, "tape_opt/hypergrad_k4_optimized", &opt);
 }
 

@@ -247,11 +247,6 @@ pub struct Cost {
     pub flops: u64,
     /// Bytes of the node's output value.
     pub out_bytes: usize,
-    /// Bytes of every operand the node reads (summed over occurrences). A
-    /// bandwidth-bound elementwise step moves `in_bytes + out_bytes`, not
-    /// `out_bytes` — the scheduler's stage totals and the fusion replay
-    /// model count both sides.
-    pub in_bytes: usize,
 }
 
 /// Per-element weight charged for `exp`/`ln`/`sqrt`/`powf`/`sigmoid`/`tanh`.
@@ -296,17 +291,9 @@ pub fn node_cost(g: &Graph, v: Var) -> Cost {
         Op::RepeatRows(..) | Op::RepeatCols(..) | Op::BroadcastScalar(..) => out,
         Op::ConcatCols(_) | Op::ConcatRows(_) | Op::SliceCols(..) | Op::SliceRows(..) => out,
     };
-    let in_bytes: usize = op_inputs(g.op(v))
-        .iter()
-        .map(|&x| {
-            let (ir, ic) = g.shape(x);
-            ir * ic * size_of::<f32>()
-        })
-        .sum();
     Cost {
         flops,
         out_bytes: (r * c) * size_of::<f32>(),
-        in_bytes,
     }
 }
 
@@ -319,7 +306,6 @@ pub fn tape_cost(g: &Graph, outputs: &[Var]) -> Cost {
             let c = node_cost(g, Var::from_index(i));
             total.flops += c.flops;
             total.out_bytes += c.out_bytes;
-            total.in_bytes += c.in_bytes;
         }
     }
     total
@@ -567,14 +553,9 @@ mod tests {
         let (g, _x, _w, h, out) = small_graph();
         assert_eq!(node_cost(&g, h).flops, 2 * 2 * 3 * 2);
         assert_eq!(node_cost(&g, h).out_bytes, 2 * 2 * 4);
-        // MatMul reads the (2,3) and (3,2) operands: 12 floats.
-        assert_eq!(node_cost(&g, h).in_bytes, (6 + 6) * 4);
         let sig = Var::from_index(h.index() + 1);
         assert_eq!(node_cost(&g, sig).flops, 4 * TRANSCENDENTAL_FLOPS);
-        // Sigmoid reads its (2,2) operand and writes (2,2): both sides count.
-        assert_eq!(node_cost(&g, sig).in_bytes, 2 * 2 * 4);
         let total = tape_cost(&g, &[out]);
         assert!(total.flops >= 2 * 2 * 3 * 2 + 4 * TRANSCENDENTAL_FLOPS);
-        assert!(total.in_bytes >= node_cost(&g, h).in_bytes + node_cost(&g, sig).in_bytes);
     }
 }

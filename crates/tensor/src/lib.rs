@@ -32,11 +32,6 @@
 //!   fuzzes chunk-pull order with an adversarial seeded scheduler, and the
 //!   [`dataflow`] arena-interference check proves the optimizer's
 //!   buffer-reuse plans free of liveness overlaps;
-//! * [`sched`] — the static tape scheduler: a dependence DAG (use-def RAW
-//!   plus WAR/WAW from arena-slot reuse) partitioned into proved-independent
-//!   level-set stages, with a calibrated profitability oracle
-//!   (`pace_runtime::cost`, `PACE_SCHED_COST`) deciding which stages — and
-//!   which kernels — are worth fanning out;
 //! * [`trace`] — the structured tracing and metrics layer (`PACE_TRACE`,
 //!   re-exported from `pace-trace`): scoped spans, lock-free
 //!   counters/histograms, and per-op tape profiles, all emitted as JSONL
@@ -66,7 +61,6 @@ pub mod check;
 pub mod dataflow;
 pub mod fault;
 pub mod flags;
-pub mod fuse;
 mod grad;
 mod graph;
 pub mod init;
@@ -75,7 +69,6 @@ pub mod nn;
 pub mod opt;
 pub mod optim;
 mod param;
-pub mod sched;
 pub mod serialize;
 
 pub use graph::{Graph, Var};

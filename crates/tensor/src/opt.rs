@@ -48,9 +48,6 @@ pub struct OptConfig {
     pub dce: bool,
     /// Recycle arena buffers the moment their value dies.
     pub reuse_buffers: bool,
-    /// Collapse single-use map/zip chains into fused super-steps executed
-    /// in one pass over memory ([`crate::fuse`]).
-    pub fuse: bool,
 }
 
 impl Default for OptConfig {
@@ -60,7 +57,6 @@ impl Default for OptConfig {
             cse: true,
             dce: true,
             reuse_buffers: true,
-            fuse: true,
         }
     }
 }
@@ -73,51 +69,39 @@ impl OptConfig {
             cse: false,
             dce: false,
             reuse_buffers: false,
-            fuse: false,
         }
     }
 }
 
 /// What one plan node is.
-pub(crate) enum PlanKind {
+enum PlanKind {
     /// A materialized value (leaf, designated input, or folded subgraph).
     Const(Matrix),
     /// An op to execute; operand [`Var`]s are *plan* indices, `buffer` is
     /// the arena slot the result is written to.
     Step { op: Op, buffer: usize },
-    /// A fused elementwise super-step: a single-use map/zip chain executed
-    /// in one pass over memory by [`crate::fuse::eval_chain`]. Writes its
-    /// arena slot exactly like a `Step`.
-    Fused {
-        chain: crate::fuse::FusedChain,
-        buffer: usize,
-    },
 }
 
-pub(crate) struct PlanNode {
-    pub(crate) kind: PlanKind,
-    pub(crate) shape: (usize, usize),
+struct PlanNode {
+    kind: PlanKind,
+    shape: (usize, usize),
 }
 
 impl PlanNode {
     /// Arena slot this node writes — `None` for constants.
-    pub(crate) fn write_buffer(&self) -> Option<usize> {
+    fn write_buffer(&self) -> Option<usize> {
         match &self.kind {
             PlanKind::Const(_) => None,
-            PlanKind::Step { buffer, .. } | PlanKind::Fused { buffer, .. } => Some(*buffer),
+            PlanKind::Step { buffer, .. } => Some(*buffer),
         }
     }
-}
 
-/// Plan indices a node reads: a step's operands, or a fused chain's lead
-/// plus every zip-side source. The interference checker, the buffer
-/// allocator, and the scheduler all walk reads through this one lens so
-/// fused super-steps inherit their guarantees unchanged.
-pub(crate) fn plan_inputs(kind: &PlanKind) -> Vec<Var> {
-    match kind {
-        PlanKind::Const(_) => Vec::new(),
-        PlanKind::Step { op, .. } => op_inputs(op),
-        PlanKind::Fused { chain, .. } => chain.inputs(),
+    /// Plan indices this node reads: a step's operands, none for constants.
+    fn inputs(&self) -> Vec<Var> {
+        match &self.kind {
+            PlanKind::Const(_) => Vec::new(),
+            PlanKind::Step { op, .. } => op_inputs(op),
+        }
     }
 }
 
@@ -152,13 +136,6 @@ pub struct OptStats {
     pub buffers: usize,
     /// Op histogram of the reachable original tape, most frequent first.
     pub op_histogram: Vec<(&'static str, usize)>,
-    /// Fused elementwise super-steps in the plan ([`crate::fuse`]).
-    pub fused_chains: usize,
-    /// Original steps those chains absorbed.
-    pub fused_steps: usize,
-    /// Full-buffer memory passes fusion eliminated (one intermediate write
-    /// plus one read-back per interior link).
-    pub fused_passes_saved: u64,
 }
 
 impl OptStats {
@@ -202,13 +179,6 @@ impl OptStats {
             self.peak_live_bytes_after as f64 / 1024.0,
             self.buffers,
         );
-        if self.fused_chains > 0 {
-            let _ = writeln!(
-                out,
-                "   fused: {} chain(s) over {} step(s), {} memory pass(es) saved",
-                self.fused_chains, self.fused_steps, self.fused_passes_saved,
-            );
-        }
         let top: Vec<String> = self
             .op_histogram
             .iter()
@@ -241,7 +211,7 @@ pub struct OpProfile {
 /// context and replays allocate nothing once every buffer has been sized.
 #[derive(Default)]
 pub struct Arena {
-    pub(crate) buffers: Vec<Matrix>,
+    buffers: Vec<Matrix>,
 }
 
 impl Arena {
@@ -263,13 +233,13 @@ impl Arena {
 /// produced by [`optimize`]. Replaying executes only the surviving steps,
 /// writing into recycled [`Arena`] buffers.
 pub struct TapePlan {
-    pub(crate) nodes: Vec<PlanNode>,
+    nodes: Vec<PlanNode>,
     /// Plan index of each requested output.
-    pub(crate) outputs: Vec<usize>,
+    outputs: Vec<usize>,
     /// Original tape index of each requested output (for [`TapePlan::verify`]).
-    pub(crate) orig_outputs: Vec<usize>,
-    pub(crate) n_buffers: usize,
-    pub(crate) stats: OptStats,
+    orig_outputs: Vec<usize>,
+    n_buffers: usize,
+    stats: OptStats,
 }
 
 impl TapePlan {
@@ -309,7 +279,7 @@ impl TapePlan {
     ) -> Result<dataflow::InterferenceStats, Vec<dataflow::SlotInterference>> {
         let mut last_use: Vec<usize> = (0..self.nodes.len()).collect();
         for (j, node) in self.nodes.iter().enumerate() {
-            for inp in plan_inputs(&node.kind) {
+            for inp in node.inputs() {
                 last_use[inp.index()] = last_use[inp.index()].max(j);
             }
         }
@@ -338,15 +308,15 @@ impl TapePlan {
                 .buffers
                 .resize_with(self.n_buffers, || Matrix::zeros(0, 0));
         }
-        for i in 0..self.nodes.len() {
-            let Some(buffer) = self.nodes[i].write_buffer() else {
+        for node in &self.nodes {
+            let PlanKind::Step { op, buffer } = &node.kind else {
                 continue;
             };
             // The buffer plan guarantees the destination never aliases a
             // live operand, so it can be taken out for the write borrow.
-            let mut dst = std::mem::replace(&mut arena.buffers[buffer], Matrix::zeros(0, 0));
-            self.exec_into(arena, i, &mut dst);
-            arena.buffers[buffer] = dst;
+            let mut dst = std::mem::replace(&mut arena.buffers[*buffer], Matrix::zeros(0, 0));
+            self.eval_into(arena, op, &mut dst);
+            arena.buffers[*buffer] = dst;
         }
         pace_trace::REPLAY_NODE_VISITS.add(self.stats.steps_after as u64);
     }
@@ -369,22 +339,17 @@ impl TapePlan {
         // BTreeMap keyed by op name: deterministic aggregation order.
         let mut rows: std::collections::BTreeMap<&'static str, OpProfile> =
             std::collections::BTreeMap::new();
-        for i in 0..self.nodes.len() {
-            let node = &self.nodes[i];
-            let name = match &node.kind {
-                PlanKind::Const(_) => continue,
-                PlanKind::Step { op, .. } => op.name(),
-                PlanKind::Fused { .. } => "Fused",
-            };
-            let Some(buffer) = node.write_buffer() else {
+        for node in &self.nodes {
+            let PlanKind::Step { op, buffer } = &node.kind else {
                 continue;
             };
-            let mut dst = std::mem::replace(&mut arena.buffers[buffer], Matrix::zeros(0, 0));
+            let name = op.name();
+            let mut dst = std::mem::replace(&mut arena.buffers[*buffer], Matrix::zeros(0, 0));
             let t0 = std::time::Instant::now();
-            self.exec_into(arena, i, &mut dst);
+            self.eval_into(arena, op, &mut dst);
             let ns = t0.elapsed().as_nanos() as u64;
-            arena.buffers[buffer] = dst;
-            let cost = self.node_cost_at(i).unwrap_or_default();
+            arena.buffers[*buffer] = dst;
+            let cost = self.step_cost(op, node.shape);
             let row = rows.entry(name).or_insert(OpProfile {
                 op: name,
                 count: 0,
@@ -415,7 +380,7 @@ impl TapePlan {
 
     /// Static cost of one plan step, mirroring [`dataflow::node_cost`] but
     /// reading shapes from plan nodes (operand [`Var`]s are plan indices).
-    pub(crate) fn step_cost(&self, op: &Op, out_shape: (usize, usize)) -> dataflow::Cost {
+    fn step_cost(&self, op: &Op, out_shape: (usize, usize)) -> dataflow::Cost {
         let out = (out_shape.0 * out_shape.1) as u64;
         let in_len = |x: Var| {
             let (r, c) = self.nodes[x.index()].shape;
@@ -444,37 +409,9 @@ impl TapePlan {
             // costs one flop per output element, as in the dataflow model.
             _ => out,
         };
-        let in_bytes: usize = op_inputs(op)
-            .iter()
-            .map(|x| {
-                let (r, c) = self.nodes[x.index()].shape;
-                r * c * size_of::<f32>()
-            })
-            .sum();
         dataflow::Cost {
             flops,
             out_bytes: (out_shape.0 * out_shape.1) * size_of::<f32>(),
-            in_bytes,
-        }
-    }
-
-    /// Static cost of executing plan node `idx` — `None` for constants.
-    /// Fused super-steps are priced as one pass: the sum of their links'
-    /// per-element FLOP weights, reading each source once and writing the
-    /// destination once, with no intermediate traffic.
-    pub(crate) fn node_cost_at(&self, idx: usize) -> Option<dataflow::Cost> {
-        let node = &self.nodes[idx];
-        match &node.kind {
-            PlanKind::Const(_) => None,
-            PlanKind::Step { op, .. } => Some(self.step_cost(op, node.shape)),
-            PlanKind::Fused { chain, .. } => {
-                let out = (node.shape.0 * node.shape.1) as u64;
-                Some(dataflow::Cost {
-                    flops: out * chain.flops_per_elem(),
-                    out_bytes: node.shape.0 * node.shape.1 * size_of::<f32>(),
-                    in_bytes: (out * chain.reads_per_elem()) as usize * size_of::<f32>(),
-                })
-            }
         }
     }
 
@@ -483,25 +420,10 @@ impl TapePlan {
         self.node_value(arena, self.outputs[k])
     }
 
-    pub(crate) fn node_value<'a>(&'a self, arena: &'a Arena, idx: usize) -> &'a Matrix {
+    fn node_value<'a>(&'a self, arena: &'a Arena, idx: usize) -> &'a Matrix {
         match &self.nodes[idx].kind {
             PlanKind::Const(m) => m,
-            PlanKind::Step { buffer, .. } | PlanKind::Fused { buffer, .. } => {
-                &arena.buffers[*buffer]
-            }
-        }
-    }
-
-    /// Executes plan node `idx` (an op step or a fused super-step), writing
-    /// the result into `dst` in place.
-    pub(crate) fn exec_into(&self, arena: &Arena, idx: usize, dst: &mut Matrix) {
-        let node = &self.nodes[idx];
-        match &node.kind {
-            PlanKind::Const(_) => unreachable!("constants are never executed"),
-            PlanKind::Step { op, .. } => self.eval_into(arena, op, dst),
-            PlanKind::Fused { chain, .. } => {
-                crate::fuse::eval_chain(self, arena, chain, node.shape, dst)
-            }
+            PlanKind::Step { buffer, .. } => &arena.buffers[*buffer],
         }
     }
 
@@ -538,7 +460,7 @@ impl TapePlan {
 
     /// Executes one remapped op, reading operands from constants or arena
     /// buffers and writing the result into `dst` in place.
-    pub(crate) fn eval_into(&self, arena: &Arena, op: &Op, dst: &mut Matrix) {
+    fn eval_into(&self, arena: &Arena, op: &Op, dst: &mut Matrix) {
         let v = |x: Var| self.node_value(arena, x.index());
         match *op {
             Op::Leaf => unreachable!("leaves are materialized as plan constants"),
@@ -893,7 +815,7 @@ pub fn optimize_with(
             }
             VKind::Step(op) => {
                 flops_after += dataflow::node_cost(g, Var::from_index(orig)).flops;
-                let op = remap_op_final(&op, &final_of);
+                let op = remap_op(&op, &final_of);
                 nodes.push(PlanNode {
                     kind: PlanKind::Step {
                         op,
@@ -906,22 +828,10 @@ pub fn optimize_with(
     }
     let outputs_final: Vec<usize> = v_outputs.iter().map(|&j| final_of[j]).collect();
 
-    // Elementwise fusion over the compacted plan, *before* buffers exist:
-    // absorbed intermediates never get arena slots at all, operand live
-    // ranges extend to the fused super-step that now reads them, and the
-    // allocator + interference checker below see fused nodes through the
-    // same `plan_inputs`/`write_buffer` lens as ordinary steps.
-    let nodes_pre_fuse = nodes.len();
-    let (mut nodes, outputs_final, fuse_outcome) = if cfg.fuse {
-        crate::fuse::fuse_plan_nodes(nodes, &outputs_final)
-    } else {
-        (nodes, outputs_final, crate::fuse::FuseOutcome::default())
-    };
-
     // Liveness-driven buffer assignment over the final steps.
     let mut last_use: Vec<usize> = (0..nodes.len()).collect();
     for (j, node) in nodes.iter().enumerate() {
-        for inp in plan_inputs(&node.kind) {
+        for inp in node.inputs() {
             last_use[inp.index()] = last_use[inp.index()].max(j);
         }
     }
@@ -942,15 +852,15 @@ pub fn optimize_with(
                 buffer_shapes.push(shape);
                 buffer_shapes.len() - 1
             });
-            match &mut nodes[j].kind {
-                PlanKind::Step { buffer, .. } | PlanKind::Fused { buffer, .. } => *buffer = slot,
-                PlanKind::Const(_) => {}
+            if let PlanKind::Step { buffer, .. } = &mut nodes[j].kind {
+                *buffer = slot;
             }
         }
         // Release operands whose last use is this step (after assigning the
         // destination, so a dying operand's buffer is never the destination).
         let dying: Vec<usize> = {
-            let mut d: Vec<usize> = plan_inputs(&nodes[j].kind)
+            let mut d: Vec<usize> = nodes[j]
+                .inputs()
                 .iter()
                 .map(|v| v.index())
                 .filter(|&o| last_use[o] == j)
@@ -983,18 +893,13 @@ pub fn optimize_with(
         steps_after,
         folded,
         cse_merged,
-        // Counted against the pre-fusion plan: fusion removes nodes too,
-        // but those were live, not dead.
-        dead_removed: n.saturating_sub(nodes_pre_fuse + cse_merged),
+        dead_removed: n.saturating_sub(nodes_after + cse_merged),
         flops_before: cost_before.flops,
         flops_after,
         peak_live_bytes_before: live.peak_live_bytes,
         peak_live_bytes_after: arena_bytes + const_bytes,
         buffers: buffer_shapes.len(),
         op_histogram,
-        fused_chains: fuse_outcome.chains,
-        fused_steps: fuse_outcome.steps_fused,
-        fused_passes_saved: fuse_outcome.passes_saved,
     };
 
     TapePlan {
@@ -1007,7 +912,7 @@ pub fn optimize_with(
 }
 
 /// Rewrites an op's operand [`Var`]s through `map` (tape index → plan index).
-pub(crate) fn remap_op(op: &Op, map: &[usize]) -> Op {
+fn remap_op(op: &Op, map: &[usize]) -> Op {
     let m = |v: Var| Var::from_index(map[v.index()]);
     match *op {
         Op::Leaf => Op::Leaf,
@@ -1046,10 +951,6 @@ pub(crate) fn remap_op(op: &Op, map: &[usize]) -> Op {
         Op::SliceCols(a, s, e) => Op::SliceCols(m(a), s, e),
         Op::SliceRows(a, s, e) => Op::SliceRows(m(a), s, e),
     }
-}
-
-fn remap_op_final(op: &Op, map: &[usize]) -> Op {
-    remap_op(op, map)
 }
 
 // ---- the PACE_OPT choke-point hook -----------------------------------------
@@ -1243,13 +1144,7 @@ mod tests {
             h = g.add(h, x);
         }
         let out = g.sum_all(h);
-        // Fusion off: this test exercises the allocator on a long chain of
-        // distinct steps, which fusion would otherwise collapse to one.
-        let cfg = OptConfig {
-            fuse: false,
-            ..OptConfig::default()
-        };
-        let plan = optimize_with(&g, &[out], &[x], "test::buffers", cfg);
+        let plan = optimize(&g, &[out], &[x], "test::buffers");
         assert!(
             plan.stats().buffers < plan.stats().steps_after,
             "16 chained steps must share buffers: {:?}",
@@ -1271,13 +1166,7 @@ mod tests {
             h = g.add(h, x);
         }
         let out = g.sum_all(h);
-        // Fusion off, as in `buffer_plan_reuses_slots_on_chains`: the test
-        // needs many reusing steps, not one fused super-step.
-        let cfg = OptConfig {
-            fuse: false,
-            ..OptConfig::default()
-        };
-        let plan = optimize_with(&g, &[out], &[x], "test::interference", cfg);
+        let plan = optimize(&g, &[out], &[x], "test::interference");
         let stats = plan.check_interference().expect("clean arena assignment");
         assert_eq!(stats.steps, plan.stats().steps_after);
         assert_eq!(stats.slots, plan.stats().buffers);
@@ -1425,6 +1314,21 @@ mod tests {
         let plan = optimize(&g, &outputs, &[w, bias], "test::gradtape");
         plan.verify(&g, VERIFY_TOL).expect("replay parity");
         assert!(plan.stats().nodes_after <= plan.stats().nodes_before);
+        // The per-op profile reports only real op families, and its FLOPs
+        // account for exactly the plan's steps.
+        let rows = plan.replay_profiled(&mut Arena::new());
+        for row in &rows {
+            assert!(
+                plan.stats()
+                    .op_histogram
+                    .iter()
+                    .any(|&(op, _)| op == row.op),
+                "profile row {:?} is not an op family of the tape",
+                row.op
+            );
+        }
+        let profiled_flops: u64 = rows.iter().map(|r| r.flops).sum();
+        assert_eq!(profiled_flops, plan.stats().flops_after);
     }
 
     #[test]

@@ -2,10 +2,12 @@
 //! tapes, the optimized replay must reproduce the eagerly recorded forward
 //! value, the first-order gradient, and the gradient-of-the-gradient — the
 //! three tape shapes the PACE attack actually differentiates — within
-//! `1e-5`, under every pass combination.
+//! `1e-5`, under every pass combination. The full pipeline's replay must
+//! also be bit-identical to its own sequential replay across thread counts
+//! and adversarial `PACE_SCHED` seeds.
 
-use pace_tensor::opt::{optimize_with, OptConfig};
-use pace_tensor::{Graph, Matrix, Var};
+use pace_tensor::opt::{optimize_with, Arena, OptConfig, TapePlan};
+use pace_tensor::{pool, Graph, Matrix, Var};
 use proptest::prelude::*;
 
 /// Applies one randomly selected, always-well-formed op to the chain (same
@@ -94,12 +96,26 @@ fn random_grad_tape(r: usize, c: usize, seed_vals: &[f32], picks: &[u8]) -> (Gra
     (g, leaf, vec![loss, d1, d2])
 }
 
+fn output_bits(plan: &TapePlan, arena: &Arena) -> Vec<Vec<u32>> {
+    (0..plan.num_outputs())
+        .map(|k| {
+            plan.output_value(arena, k)
+                .data()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect()
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Full pipeline (fold + CSE + DCE + buffer reuse): the optimized replay
     /// of forward, gradient, and gradient-of-gradient must match what eager
-    /// execution recorded.
+    /// execution recorded, and must be bit-identical to the sequential
+    /// replay at {1, 4, 8} threads under four adversarial `PACE_SCHED`
+    /// seeds, with a cost model that forces every kernel's fan-out path.
     #[test]
     fn optimized_replay_matches_forward_grad_and_double_grad(
         r in 1usize..4,
@@ -117,6 +133,42 @@ proptest! {
         );
         // The pipeline must never add nodes.
         prop_assert!(plan.stats().nodes_after <= plan.stats().nodes_before);
+
+        // Reference: sequential replay under the natural cost model.
+        pool::cost::set_constants(None);
+        pool::set_threads(1);
+        let mut seq = Arena::new();
+        plan.replay(&mut seq);
+        let reference = output_bits(&plan, &seq);
+
+        // Aggressively parallel model: kernels fan out over the pool
+        // whenever remotely profitable, maximizing the chance a
+        // chunking-dependent kernel would diverge.
+        pool::cost::set_constants(Some(pool::cost::CostConstants {
+            dispatch_ns: 1.0,
+            task_ns: 1.0,
+            flops_per_ns: 1.0,
+            bytes_per_ns: 1.0,
+            effective_parallelism: 8.0,
+        }));
+        for &threads in &[1usize, 4, 8] {
+            pool::set_threads(threads);
+            for &seed in &[1u64, 2, 0x5eed, 0xfeed_f00d] {
+                pool::race::set_sched(Some(seed));
+                let mut arena = Arena::new();
+                plan.replay(&mut arena);
+                prop_assert_eq!(
+                    &output_bits(&plan, &arena),
+                    &reference,
+                    "replay diverged from sequential: threads={} seed={:#x}",
+                    threads,
+                    seed
+                );
+            }
+        }
+        pool::race::set_sched(None);
+        pool::set_threads(0);
+        pool::cost::set_constants(None);
     }
 
     /// Every single-pass configuration must also be sound on its own — a bug

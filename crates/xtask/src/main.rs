@@ -1,6 +1,6 @@
 //! Workspace maintenance tasks:
 //! `cargo run -p xtask --
-//! <lint|tape-report|trace-report|chaos|determinism|race-report|sched-report|serve-report
+//! <lint|tape-report|trace-report|chaos|determinism|race-report|serve-report
 //! |defense-report>`.
 //!
 //! # `lint` — source-level checks the compiler cannot express
@@ -10,9 +10,8 @@
 //! 1. **`Op` coverage** — every variant of the tape's `Op` enum
 //!    (`crates/tensor/src/graph.rs`) must be mentioned in the VJP dispatch
 //!    (`grad.rs`), the auditor (`analysis.rs`), the dataflow analyses —
-//!    structural hashing and the cost model — (`dataflow.rs`), the
-//!    replay interpreter (`opt.rs`), and the elementwise-fusion
-//!    classifier (`fuse.rs`). A variant added to the enum but
+//!    structural hashing and the cost model — (`dataflow.rs`), and the
+//!    replay interpreter (`opt.rs`). A variant added to the enum but
 //!    forgotten in any of them would otherwise surface as a runtime panic
 //!    (grad, replay) or a silent analysis gap; wildcard match arms make the
 //!    compiler's exhaustiveness check insufficient.
@@ -83,19 +82,8 @@
 //! `K = 4` unrolled virtual updates — runs the full pass pipeline
 //! ([`pace_tensor::opt`]), verifies the optimized replay against eager
 //! execution, and prints the per-context report: node/FLOP/peak-live-byte
-//! counts before and after, per-pass removal counts (including elementwise
-//! fusion: chains fused and memory passes eliminated), and the op
-//! histogram. Then times each context's fused replay against the fuse-off
-//! pipeline (best-of-[`FUSE_TIMING_REPS`], bit-identity required) and
-//! writes `BENCH_fuse.json` at the workspace root. The speedup gate is
-//! hardware-conditioned through the calibrated cost model: when the model
-//! itself predicts the `K = 4` hypergradient replay should gain at least
-//! [`FUSE_SPEEDUP_GATE`]× from fusion on this machine's calibrated
-//! flop/bandwidth throughput, the measured speedup must clear that bar;
-//! otherwise (e.g. a machine whose dispatch overhead is negligible next to
-//! its memory bandwidth) the gate degrades to the
-//! [`FUSE_NO_REGRESSION_GATE`] no-regression bound — fusion must never
-//! lose to the pipeline it replaces.
+//! counts before and after, per-pass removal counts, and the op histogram.
+//! Exits non-zero if any optimized replay diverges.
 //!
 //! # `trace-report` — dynamic observability of a real campaign
 //!
@@ -174,25 +162,6 @@
 //! virtual timestamps, reply log, and attack measurements — must be
 //! bit-identical across two 1-thread runs and across `PACE_THREADS` 1
 //! vs 8. Writes `BENCH_defense.json` at the workspace root.
-//!
-//! # `sched-report` — the static-scheduler gate
-//!
-//! Builds the real tapes (CE training step, attack hypergradient at `K = 1`
-//! and `K = 4`) and runs the static scheduler ([`pace_tensor::sched`]) over
-//! each: dependence DAG from use-def chains plus WAR/WAW arena-reuse edges,
-//! level-set stages certified by the stage-collapsed slot-interference
-//! proof, and per-stage profitability verdicts from the calibrated cost
-//! model (`pace_runtime::cost`). Prints each verified schedule with its
-//! predicted speedup, then gates on two facts: (a) the staged replay is
-//! bit-identical to the sequential replay across [`SCHED_SEEDS`] ×
-//! [`SCHED_THREADS`] under a fan-out-everything cost model (so the parallel
-//! path really executes, even on serial hardware), and (b) the t1/t2/t4/t8
-//! scaling curve of the parallel surfaces (192² matmul, the `K = 4`
-//! scheduled replay, `count_batch`) written to `BENCH_scaling.json`. The
-//! scaling gate is hardware-conditioned: ≥ 2× t8/t1 on the big shapes when
-//! the calibrated effective parallelism clears
-//! [`SCALING_EFF_PAR_GATE`], a no-regression bound otherwise — a 1-core
-//! runner cannot double anything, but it must never lose to itself.
 
 use pace_ce::{
     q_error_between, q_error_loss, rows_to_matrix, CeConfig, CeModel, CeModelType, EncodedWorkload,
@@ -229,13 +198,12 @@ fn main() -> ExitCode {
         "chaos" => chaos(),
         "determinism" => determinism(),
         "race-report" => race_report(),
-        "sched-report" => sched_report(),
         "serve-report" => serve_report(),
         "defense-report" => defense_report(),
         _ => {
             eprintln!(
                 "usage: cargo run -p xtask -- \
-                 <lint|tape-report|trace-report|chaos|determinism|race-report|sched-report\
+                 <lint|tape-report|trace-report|chaos|determinism|race-report\
                  |serve-report|defense-report>"
             );
             ExitCode::FAILURE
@@ -265,20 +233,6 @@ fn lint() -> ExitCode {
 }
 
 // ---- tape-report ------------------------------------------------------------
-
-/// Best-of-N repetitions for the fused-vs-unfused replay timing.
-const FUSE_TIMING_REPS: u32 = 7;
-
-/// Required fused/unfused replay speedup on the `K = 4` hypergradient when
-/// the calibrated cost model predicts fusion should pay at least that much
-/// on this machine's flop/bandwidth throughput.
-const FUSE_SPEEDUP_GATE: f64 = 1.3;
-
-/// Minimum allowed fused/unfused ratio on every context. Best-of-N minimum
-/// timing still jitters several percent on a loaded runner (the same bound
-/// [`SCALING_NO_REGRESSION_GATE`] uses); below it fusion has become a
-/// pessimization — the exact regression this gate exists to stop.
-const FUSE_NO_REGRESSION_GATE: f64 = 0.85;
 
 /// Optimizes and verifies one tape, printing the static report. Returns
 /// whether the optimized replay matched eager execution.
@@ -317,10 +271,6 @@ fn tape_report() -> ExitCode {
     );
     let mut all_ok = true;
 
-    // The four tapes the `PACE_OPT` choke points see, kept alive so the
-    // fusion benchmark below can re-optimize each with fusion disabled.
-    let mut tapes: Vec<(String, Graph, Vec<Var>, Vec<Var>)> = Vec::new();
-
     // One CE training step: forward + Q-error loss + parameter gradients —
     // the tape `ce::step_adam` / `ce::update` build every iteration.
     {
@@ -332,8 +282,7 @@ fn tape_report() -> ExitCode {
         let grads = g.grad(loss, bind.vars());
         let mut outputs = vec![loss];
         outputs.extend(&grads);
-        let inputs = bind.vars().to_vec();
-        tapes.push(("ce::train_step".to_string(), g, outputs, inputs));
+        all_ok &= report_tape(&g, &outputs, bind.vars(), "ce::train_step");
     }
 
     // One surrogate imitation step: Q-error against black-box estimates.
@@ -348,8 +297,7 @@ fn tape_report() -> ExitCode {
         let grads = g.grad(loss, bind.vars());
         let mut outputs = vec![loss];
         outputs.extend(&grads);
-        let inputs = bind.vars().to_vec();
-        tapes.push(("surrogate::imitate".to_string(), g, outputs, inputs));
+        all_ok &= report_tape(&g, &outputs, bind.vars(), "surrogate::imitate");
     }
 
     // The attack hypergradient: objective + ∂objective/∂(poison batch)
@@ -365,189 +313,15 @@ fn tape_report() -> ExitCode {
             steps,
             1e-2,
         );
-        tapes.push((
-            format!("attack::hypergradient K={steps}"),
-            g,
-            outputs,
-            inputs,
-        ));
+        let context = format!("attack::hypergradient K={steps}");
+        all_ok &= report_tape(&g, &outputs, &inputs, &context);
     }
 
-    for (context, g, outputs, inputs) in &tapes {
-        all_ok &= report_tape(g, outputs, inputs, context);
-    }
-
-    // Fused super-steps vs the fuse-off pipeline: re-optimize each tape
-    // both ways, require bit-identical outputs, time both replays under
-    // the calibrated cost model, and write `BENCH_fuse.json`.
-    use pace_tensor::opt::{optimize_with, Arena, OptConfig};
-    use pace_tensor::pool;
-    let consts = pool::cost::constants();
-    pool::cost::set_constants(Some(consts));
-    println!(
-        "tape-report: fused vs fuse-off replay, best of {FUSE_TIMING_REPS} \
-         (calibrated: {:.2} flops/ns, {:.2} bytes/ns, parallelism {:.2})",
-        consts.flops_per_ns, consts.bytes_per_ns, consts.effective_parallelism
-    );
-    struct FuseRow {
-        context: String,
-        chains: usize,
-        steps_fused: usize,
-        passes_saved: u64,
-        unfused_ns: f64,
-        fused_ns: f64,
-        speedup: f64,
-        predicted: f64,
-        identical: bool,
-    }
-    let mut failures: Vec<String> = Vec::new();
-    let mut fuse_rows: Vec<FuseRow> = Vec::new();
-    for (context, g, outputs, inputs) in &tapes {
-        let off = OptConfig {
-            fuse: false,
-            ..OptConfig::default()
-        };
-        let label = format!("{context} [fuse off]");
-        let unfused = optimize_with(g, outputs, inputs, &label, off);
-        let fused = pace_tensor::opt::optimize(g, outputs, inputs, context);
-
-        let mut ua = Arena::new();
-        unfused.replay(&mut ua);
-        let mut fa = Arena::new();
-        fused.replay(&mut fa);
-        let identical = plan_output_bits(&unfused, &ua) == plan_output_bits(&fused, &fa);
-        if !identical {
-            failures.push(format!(
-                "{context}: fused replay is not bit-identical to the fuse-off replay"
-            ));
-        }
-
-        let unfused_ns = scaling_best_ns(FUSE_TIMING_REPS, &mut || unfused.replay(&mut ua));
-        let fused_ns = scaling_best_ns(FUSE_TIMING_REPS, &mut || fused.replay(&mut fa));
-        let speedup = unfused_ns / fused_ns;
-        let predicted = pace_tensor::fuse::modeled_replay_ns(&unfused, &consts)
-            / pace_tensor::fuse::modeled_replay_ns(&fused, &consts);
-        let st = fused.stats();
-        println!(
-            "tape-report: fusion {context:<28} {} chain(s) / {} step(s), {} pass(es) \
-             saved — fuse-off {:.0}us, fused {:.0}us, {speedup:.2}x (model {predicted:.2}x)",
-            st.fused_chains,
-            st.fused_steps,
-            st.fused_passes_saved,
-            unfused_ns / 1e3,
-            fused_ns / 1e3
-        );
-        fuse_rows.push(FuseRow {
-            context: context.clone(),
-            chains: st.fused_chains,
-            steps_fused: st.fused_steps,
-            passes_saved: st.fused_passes_saved,
-            unfused_ns,
-            fused_ns,
-            speedup,
-            predicted,
-            identical,
-        });
-    }
-    pool::cost::set_constants(None);
-
-    // The speedup gate is hardware-conditioned through the cost model: it
-    // applies only when the model itself says the calibrated throughput
-    // leaves ≥ FUSE_SPEEDUP_GATE on the table for the K=4 replay.
-    let k4 = fuse_rows
-        .iter()
-        .find(|r| r.context.ends_with("K=4"))
-        .expect("the K=4 hypergradient tape is built above");
-    let gated_speedup = k4.predicted >= FUSE_SPEEDUP_GATE;
-    let gate_name = if gated_speedup {
-        "speedup_1_3x"
-    } else {
-        "no_regression"
-    };
-    if !gated_speedup {
-        println!(
-            "tape-report: {FUSE_SPEEDUP_GATE}x gate skipped: the calibrated cost model \
-             predicts only {:.2}x from fusion on this hardware — applying the \
-             no-regression gate only",
-            k4.predicted
-        );
-    }
-    if gated_speedup && k4.speedup < FUSE_SPEEDUP_GATE {
-        failures.push(format!(
-            "attack::hypergradient K=4: fused replay {:.2}x < {FUSE_SPEEDUP_GATE}x \
-             (model predicted {:.2}x on this hardware)",
-            k4.speedup, k4.predicted
-        ));
-    }
-    for r in &fuse_rows {
-        if !r.speedup.is_finite() {
-            failures.push(format!("{}: fused replay not measurable", r.context));
-        } else if r.speedup < FUSE_NO_REGRESSION_GATE {
-            failures.push(format!(
-                "{}: fusion is a pessimization — {:.2}x < {FUSE_NO_REGRESSION_GATE}",
-                r.context, r.speedup
-            ));
-        }
-    }
-
-    // Machine-readable artifact for CI.
-    let mut s = String::from("{\n");
-    s.push_str(&format!(
-        "  \"constants\": {{\"dispatch_ns\": {:.1}, \"task_ns\": {:.1}, \
-         \"flops_per_ns\": {:.3}, \"bytes_per_ns\": {:.3}, \
-         \"effective_parallelism\": {:.2}}},\n",
-        consts.dispatch_ns,
-        consts.task_ns,
-        consts.flops_per_ns,
-        consts.bytes_per_ns,
-        consts.effective_parallelism
-    ));
-    s.push_str(&format!("  \"gate\": \"{gate_name}\",\n"));
-    s.push_str(&format!(
-        "  \"gates\": {{\"speedup\": {FUSE_SPEEDUP_GATE}, \
-         \"no_regression\": {FUSE_NO_REGRESSION_GATE}}},\n"
-    ));
-    s.push_str("  \"contexts\": [");
-    for (i, r) in fuse_rows.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n    {{\"context\": \"{}\", \"fused_chains\": {}, \"fused_steps\": {}, \
-             \"passes_saved\": {}, \"unfused_ns\": {:.0}, \"fused_ns\": {:.0}, \
-             \"speedup\": {:.3}, \"model_speedup\": {:.3}, \"bit_identical\": {}}}",
-            r.context,
-            r.chains,
-            r.steps_fused,
-            r.passes_saved,
-            r.unfused_ns,
-            r.fused_ns,
-            r.speedup,
-            r.predicted,
-            r.identical
-        ));
-    }
-    s.push_str(&format!("\n  ],\n  \"failures\": {}\n}}\n", failures.len()));
-    let root = workspace_root();
-    if let Err(e) = std::fs::write(root.join("BENCH_fuse.json"), &s) {
-        failures.push(format!("could not write BENCH_fuse.json: {e}"));
-    } else {
-        println!(
-            "tape-report: wrote {}",
-            root.join("BENCH_fuse.json").display()
-        );
-    }
-
-    if all_ok && failures.is_empty() {
-        println!("tape-report: all optimized replays verified; fusion gate ({gate_name}) passed");
+    if all_ok {
+        println!("tape-report: all optimized replays verified");
         ExitCode::SUCCESS
     } else {
-        for f in &failures {
-            eprintln!("tape-report: {f}");
-        }
-        if !all_ok {
-            eprintln!("tape-report: at least one optimized replay diverged");
-        }
+        eprintln!("tape-report: at least one optimized replay diverged");
         eprintln!("tape-report: FAILED");
         ExitCode::FAILURE
     }
@@ -1154,18 +928,12 @@ fn op_variants(graph_src: &str) -> Vec<String> {
 
 /// Files that must mention every `Op` variant: the VJP dispatch, the
 /// auditor's shape/closure tables, the dataflow analyses (structural hash +
-/// cost model), the optimizer's replay interpreter, the static
-/// scheduler's op-class table, and the elementwise-fusion classifier
-/// (`elem_form` must give an explicit fusible/not-fusible verdict for
-/// every op — a wildcard arm there would silently exclude new
-/// elementwise ops from fusion).
-const OP_COVERAGE_FILES: [&str; 6] = [
+/// cost model), and the optimizer's replay interpreter.
+const OP_COVERAGE_FILES: [&str; 4] = [
     "crates/tensor/src/grad.rs",
     "crates/tensor/src/analysis.rs",
     "crates/tensor/src/dataflow.rs",
     "crates/tensor/src/opt.rs",
-    "crates/tensor/src/sched.rs",
-    "crates/tensor/src/fuse.rs",
 ];
 
 fn check_op_coverage(root: &Path, failures: &mut Vec<String>) {
@@ -2152,378 +1920,6 @@ fn race_report() -> ExitCode {
             eprintln!("xtask race-report: {f}");
         }
         eprintln!("xtask race-report: {} failure(s)", failures.len());
-        ExitCode::FAILURE
-    }
-}
-
-// ---- sched-report -----------------------------------------------------------
-
-/// Thread counts of the scaling curve (the `BENCH_scaling.json` x-axis).
-const SCALING_THREADS: [usize; 4] = [1, 2, 4, 8];
-
-/// Calibrated effective parallelism below which the 2× scaling gate is
-/// vacuous — a 1–2 core runner cannot double anything — and the gate
-/// degrades to the no-regression bound.
-const SCALING_EFF_PAR_GATE: f64 = 3.3;
-
-/// Required t8/t1 speedup on the big shapes when the hardware is genuinely
-/// parallel.
-const SCALING_SPEEDUP_GATE: f64 = 2.0;
-
-/// Minimum allowed t8/t1 ratio anywhere. Best-of-N minimum timing still
-/// jitters a few percent; below this bound the oracle has let threads
-/// become a pessimization — the exact regression this gate exists to stop.
-const SCALING_NO_REGRESSION_GATE: f64 = 0.85;
-
-/// Best-of-`reps` wall time of `f` in nanoseconds, after one warm-up call.
-fn scaling_best_ns(reps: u32, f: &mut dyn FnMut()) -> f64 {
-    f();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e9);
-    }
-    best
-}
-
-/// The output buffers of a replayed plan as exact bit patterns.
-fn plan_output_bits(
-    plan: &pace_tensor::opt::TapePlan,
-    arena: &pace_tensor::opt::Arena,
-) -> Vec<Vec<u32>> {
-    (0..plan.num_outputs())
-        .map(|k| {
-            plan.output_value(arena, k)
-                .data()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect()
-        })
-        .collect()
-}
-
-/// One verified schedule, condensed for console + JSON.
-struct ScheduleRow {
-    context: String,
-    stages: usize,
-    parallel: usize,
-    max_width: usize,
-    raw: usize,
-    war: usize,
-    waw: usize,
-    predicted: f64,
-}
-
-fn sched_report() -> ExitCode {
-    use pace_tensor::pool;
-    use pace_tensor::sched::EdgeKind;
-    use pool::race;
-
-    let root = workspace_root();
-    let mut failures: Vec<String> = Vec::new();
-
-    // Resolve the cost constants once (override → PACE_SCHED_COST →
-    // calibration) and pin them, so every stage decision and kernel grain in
-    // the report keys off one consistent set.
-    let consts = pool::cost::constants();
-    pool::cost::set_constants(Some(consts));
-    println!(
-        "sched-report: cost constants: dispatch {:.0} ns, task {:.0} ns, \
-         {:.2} flops/ns, {:.2} bytes/ns, effective parallelism {:.2}",
-        consts.dispatch_ns,
-        consts.task_ns,
-        consts.flops_per_ns,
-        consts.bytes_per_ns,
-        consts.effective_parallelism
-    );
-    println!(
-        "sched-report: pin with PACE_SCHED_COST={}",
-        consts.to_spec()
-    );
-
-    // Shared fixtures: the race-report dataset/model recipe.
-    println!("sched-report: building quick TPC-H dataset + labeled workload...");
-    let ds = build(DatasetKind::Tpch, Scale::quick(), 2);
-    let exec = Executor::new(&ds);
-    let mut rng = StdRng::seed_from_u64(42);
-    let queries = generate_queries(&ds, &WorkloadSpec::default(), &mut rng, 96);
-    let labeled = exec.label_nonzero(queries.clone());
-    let data = EncodedWorkload::from_workload(&QueryEncoder::new(&ds), &labeled);
-    let model = CeModel::new(CeModelType::Fcn, &ds, CeConfig::quick(), 6);
-
-    // The real tapes: a CE training step and the K = 1 / K = 4 attack
-    // hypergradients.
-    let mut plans: Vec<(String, pace_tensor::opt::TapePlan)> = Vec::new();
-    {
-        let mut g = Graph::new();
-        let bind = model.params().bind(&mut g);
-        let x = g.leaf(rows_to_matrix(&data.enc));
-        let out = model.forward(&mut g, &bind, x);
-        let loss = q_error_loss(&mut g, out, &data.ln_card, model.ln_max());
-        let grads = g.grad(loss, bind.vars());
-        let mut outputs = vec![loss];
-        outputs.extend(&grads);
-        plans.push((
-            "ce::train_step".to_string(),
-            pace_tensor::opt::optimize(&g, &outputs, bind.vars(), "ce::train_step"),
-        ));
-    }
-    let half = data.enc.len() / 2;
-    let m = half.min(32);
-    for steps in [1usize, 4] {
-        let (g, outputs, inputs) = build_hypergradient_tape(
-            &model,
-            &data.enc[..m],
-            &data.ln_card[..m],
-            &data.enc[half..half + m],
-            &data.ln_card[half..half + m],
-            steps,
-            1e-2,
-        );
-        let context = format!("attack::hypergradient K={steps}");
-        plans.push((
-            context.clone(),
-            pace_tensor::opt::optimize(&g, &outputs, &inputs, &context),
-        ));
-    }
-
-    // (1) Verified schedules under the calibrated model: DAG + level-set
-    // stages + the stage-collapsed interference proof, or a hard failure.
-    let mut schedule_rows: Vec<ScheduleRow> = Vec::new();
-    for (context, plan) in &plans {
-        match plan.schedule() {
-            Ok(s) => {
-                println!(
-                    "\nsched-report: [{context}] predicted speedup {:.2}x",
-                    s.predicted_speedup()
-                );
-                if s.stages().len() <= 48 {
-                    print!("{}", s.render());
-                } else {
-                    // The full per-stage listing would drown the log; keep
-                    // the proof header and aggregate the rest.
-                    print!("{}", s.render().lines().next().unwrap_or_default());
-                    println!(
-                        "\n  ({} stages elided; {} parallel, widest {})",
-                        s.stages().len(),
-                        s.parallel_stages(),
-                        s.max_width()
-                    );
-                }
-                schedule_rows.push(ScheduleRow {
-                    context: context.clone(),
-                    stages: s.stages().len(),
-                    parallel: s.parallel_stages(),
-                    max_width: s.max_width(),
-                    raw: s.edge_count(EdgeKind::Raw),
-                    war: s.edge_count(EdgeKind::War),
-                    waw: s.edge_count(EdgeKind::Waw),
-                    predicted: s.predicted_speedup(),
-                });
-            }
-            Err(e) => failures.push(format!("[{context}] schedule rejected: {e}")),
-        }
-    }
-
-    // (2) Bit-identity: staged replay vs. sequential replay across the
-    // adversarial seed × thread matrix, under a fan-out-everything cost
-    // model so the parallel hand-off path really executes even when the
-    // calibrated verdicts would stay sequential (e.g. on a 1-core runner).
-    pool::cost::set_constants(Some(pool::cost::CostConstants {
-        dispatch_ns: 1.0,
-        task_ns: 1.0,
-        flops_per_ns: 1.0,
-        bytes_per_ns: 1.0,
-        effective_parallelism: 8.0,
-    }));
-    let mut combos = 0usize;
-    for (context, plan) in &plans {
-        let sched = match plan.schedule() {
-            Ok(s) => s,
-            Err(e) => {
-                failures.push(format!("[{context}] fan-out schedule rejected: {e}"));
-                continue;
-            }
-        };
-        race::set_sched(None);
-        pool::set_threads(1);
-        let mut seq = pace_tensor::opt::Arena::new();
-        plan.replay(&mut seq);
-        let reference = plan_output_bits(plan, &seq);
-        let mut clean = true;
-        for &seed in &SCHED_SEEDS {
-            for &threads in &SCHED_THREADS {
-                race::set_sched(Some(seed));
-                pool::set_threads(threads);
-                combos += 1;
-                let mut arena = pace_tensor::opt::Arena::new();
-                plan.replay_scheduled(&sched, &mut arena);
-                if plan_output_bits(plan, &arena) != reference {
-                    clean = false;
-                    failures.push(format!(
-                        "[{context}] scheduled replay diverges under PACE_SCHED={seed} \
-                         at {threads} threads"
-                    ));
-                }
-            }
-        }
-        if clean {
-            println!(
-                "sched-report: [{context}] staged replay bit-identical across \
-                 {} seeds x {SCHED_THREADS:?} threads ({} parallel stage(s))",
-                SCHED_SEEDS.len(),
-                sched.parallel_stages()
-            );
-        }
-    }
-    race::set_sched(None);
-
-    // (3) Scaling curve: natural schedule, calibrated constants, best-of-N
-    // minimum wall times at each thread count.
-    pool::cost::set_constants(Some(consts));
-    println!("\nsched-report: scaling curve at {SCALING_THREADS:?} threads...");
-    let (a, b) = lcg_matrices(192);
-    let (_, k4) = plans
-        .iter()
-        .find(|(c, _)| c.ends_with("K=4"))
-        .expect("the K=4 hypergradient plan is built above");
-    let k4_sched = k4.schedule();
-    let mut rows: Vec<(&str, bool, Vec<f64>)> = vec![
-        ("matmul_192", true, Vec::new()),
-        ("hypergrad_k4_replay", true, Vec::new()),
-        ("count_batch", false, Vec::new()),
-    ];
-    let mut k4_arena = pace_tensor::opt::Arena::new();
-    for &threads in &SCALING_THREADS {
-        pool::set_threads(threads);
-        rows[0].2.push(scaling_best_ns(5, &mut || {
-            std::hint::black_box(a.matmul(&b));
-        }));
-        match &k4_sched {
-            Ok(s) => rows[1].2.push(scaling_best_ns(5, &mut || {
-                k4.replay_scheduled(s, &mut k4_arena);
-            })),
-            Err(_) => rows[1].2.push(f64::NAN), // already a failure from (1)
-        }
-        rows[2].2.push(scaling_best_ns(5, &mut || {
-            std::hint::black_box(exec.count_batch(&queries));
-        }));
-    }
-    pool::set_threads(0);
-
-    let eff = consts.effective_parallelism;
-    let gated_2x = eff >= SCALING_EFF_PAR_GATE;
-    let gate_name = if gated_2x {
-        "speedup_2x"
-    } else {
-        "no_regression"
-    };
-    if !gated_2x {
-        println!(
-            "sched-report: 2x gate skipped: calibrated hardware parallelism {eff:.2} < \
-             {SCALING_EFF_PAR_GATE} — applying the no-regression gate only"
-        );
-    }
-    let mut scaling_rows: Vec<(String, Vec<f64>, f64, bool)> = Vec::new();
-    for (name, big, ns) in &rows {
-        let t1 = ns[0];
-        let t8 = *ns.last().unwrap_or(&f64::NAN);
-        let speedup = t1 / t8;
-        let curve: Vec<String> = SCALING_THREADS
-            .iter()
-            .zip(ns)
-            .map(|(t, v)| format!("t{t} {:.0}us", v / 1e3))
-            .collect();
-        println!(
-            "sched-report: scaling {name:<20} {} — t8/t1 {speedup:.2}x",
-            curve.join("  ")
-        );
-        if !speedup.is_finite() {
-            failures.push(format!("{name}: scaling curve not measurable"));
-        } else {
-            if gated_2x && *big && speedup < SCALING_SPEEDUP_GATE {
-                failures.push(format!(
-                    "{name}: t8/t1 = {speedup:.2}x < {SCALING_SPEEDUP_GATE}x on parallel \
-                     hardware (effective parallelism {eff:.1})"
-                ));
-            }
-            if speedup < SCALING_NO_REGRESSION_GATE {
-                failures.push(format!(
-                    "{name}: threads are a pessimization — t8/t1 = {speedup:.2}x < \
-                     {SCALING_NO_REGRESSION_GATE}"
-                ));
-            }
-        }
-        scaling_rows.push((name.to_string(), ns.clone(), speedup, *big));
-    }
-    if let (Ok(s), Some((_, _, measured, _))) = (
-        &k4_sched,
-        scaling_rows
-            .iter()
-            .find(|(n, ..)| n == "hypergrad_k4_replay"),
-    ) {
-        println!(
-            "sched-report: hypergrad K=4 replay: predicted {:.2}x, measured t8/t1 {measured:.2}x",
-            s.predicted_speedup()
-        );
-    }
-
-    // Machine-readable artifact for CI.
-    let mut s = String::from("{\n");
-    s.push_str(&format!(
-        "  \"constants\": {{\"dispatch_ns\": {:.1}, \"task_ns\": {:.1}, \
-         \"flops_per_ns\": {:.3}, \"bytes_per_ns\": {:.3}, \
-         \"effective_parallelism\": {:.2}}},\n",
-        consts.dispatch_ns, consts.task_ns, consts.flops_per_ns, consts.bytes_per_ns, eff
-    ));
-    s.push_str(&format!("  \"gate\": \"{gate_name}\",\n"));
-    s.push_str(&format!("  \"thread_counts\": {SCALING_THREADS:?},\n"));
-    s.push_str("  \"schedules\": [");
-    for (i, r) in schedule_rows.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n    {{\"context\": \"{}\", \"stages\": {}, \"parallel_stages\": {}, \
-             \"max_width\": {}, \"edges_raw\": {}, \"edges_war\": {}, \
-             \"edges_waw\": {}, \"predicted_speedup\": {:.3}}}",
-            r.context, r.stages, r.parallel, r.max_width, r.raw, r.war, r.waw, r.predicted
-        ));
-    }
-    s.push_str("\n  ],\n  \"scaling\": [");
-    for (i, (name, ns, speedup, big)) in scaling_rows.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let ns_list: Vec<String> = ns.iter().map(|v| format!("{v:.0}")).collect();
-        s.push_str(&format!(
-            "\n    {{\"name\": \"{name}\", \"ns\": [{}], \"t8_over_t1\": {speedup:.3}, \
-             \"gate_2x\": {big}}}",
-            ns_list.join(", ")
-        ));
-    }
-    s.push_str(&format!("\n  ],\n  \"identity_combos\": {combos},\n"));
-    s.push_str(&format!("  \"failures\": {}\n}}\n", failures.len()));
-    let json_path = root.join("BENCH_scaling.json");
-    if let Err(e) = std::fs::write(&json_path, s) {
-        eprintln!("sched-report: cannot write {}: {e}", json_path.display());
-        return ExitCode::FAILURE;
-    }
-    println!("sched-report: wrote {}", json_path.display());
-
-    if failures.is_empty() {
-        println!(
-            "xtask sched-report: OK — {} tape(s) scheduled and proof-checked, \
-             {combos} identity combos bit-identical, scaling gate: {gate_name}",
-            schedule_rows.len()
-        );
-        ExitCode::SUCCESS
-    } else {
-        for f in &failures {
-            eprintln!("xtask sched-report: {f}");
-        }
-        eprintln!("xtask sched-report: {} failure(s)", failures.len());
         ExitCode::FAILURE
     }
 }
@@ -4171,12 +3567,9 @@ mod tests {
 
     #[test]
     fn op_coverage_spans_the_analysis_stack() {
-        // The coverage list must include the new dataflow + opt modules and
-        // the scheduler's op-class table so a future Op variant cannot
-        // silently skip the analyses.
+        // The coverage list must include the dataflow + opt modules so a
+        // future Op variant cannot silently skip the analyses.
         assert!(OP_COVERAGE_FILES.contains(&"crates/tensor/src/dataflow.rs"));
         assert!(OP_COVERAGE_FILES.contains(&"crates/tensor/src/opt.rs"));
-        assert!(OP_COVERAGE_FILES.contains(&"crates/tensor/src/sched.rs"));
-        assert!(OP_COVERAGE_FILES.contains(&"crates/tensor/src/fuse.rs"));
     }
 }
