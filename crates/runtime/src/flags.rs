@@ -1,27 +1,25 @@
 //! The shared environment-flag grammar for every `PACE_*` runtime switch.
 //!
 //! All instrumentation switches in the workspace — the tape auditor
-//! (`PACE_AUDIT`), the optimizing pipeline (`PACE_OPT`), the snapshot
-//! finiteness gate (`PACE_FINITE`), and the pool's shadow write-set checker
-//! (`PACE_RACE`, [`crate::race`]) — parse one grammar:
+//! (`PACE_AUDIT`), the optimizing pipeline (`PACE_OPT`), and the snapshot
+//! finiteness gate (`PACE_FINITE`) — parse one grammar:
 //!
 //! * `0` (or unset, or anything unrecognized) — off;
-//! * `1` / `true` / `on` — enabled: findings are *reported* (a dirty audit,
-//!   a pass-verification mismatch, or an overlapping write set prints to
-//!   stderr, execution continues);
+//! * `1` / `true` / `on` — enabled: findings are *reported* (a dirty audit
+//!   or a pass-verification mismatch prints to stderr, execution
+//!   continues);
 //! * `strict` — enabled, and findings are *fatal*: the check panics at its
 //!   choke point, so CI and experiment runs cannot silently proceed on a
-//!   corrupted tape or a racy region.
+//!   corrupted tape.
 //!
 //! [`EnvSpec`] is the string-valued companion for switches that carry a
 //! *spec* rather than a mode: the `PACE_FAULTS` fault matrix and the
-//! `PACE_SCHED` adversarial-scheduler seed ([`crate::race`]).
+//! `PACE_SCHED_COST` cost-model pin ([`crate::cost`]).
 //!
 //! Every variable is read once, on first query; tests and embedders can
 //! override at any time with [`EnvFlag::set`] / [`EnvSpec::set`]. The types
 //! live in `pace-runtime` (the bottom of the crate stack, below the tensor
-//! engine) so the pool's own switches can use them; `pace_tensor::flags`
-//! re-exports them unchanged.
+//! engine); `pace_tensor::flags` re-exports them unchanged.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -119,9 +117,10 @@ fn encode(mode: FlagMode) -> u8 {
 /// A lazily-read, process-global *string-valued* environment switch — the
 /// free-form companion of [`EnvFlag`] for instrumentation that needs a spec
 /// rather than an on/off/strict mode (the `PACE_FAULTS` fault matrix, the
-/// `PACE_SCHED` scheduler seed). Shares the flag conventions: the variable
-/// is read once on first query, unset/empty/`0` means "off", and tests or
-/// embedders can override the value at any time with [`EnvSpec::set`].
+/// `PACE_SCHED_COST` cost-model pin). Shares the flag conventions: the
+/// variable is read once on first query, unset/empty/`0` means "off", and
+/// tests or embedders can override the value at any time with
+/// [`EnvSpec::set`].
 pub struct EnvSpec {
     name: &'static str,
     state: std::sync::Mutex<Option<Option<String>>>,

@@ -23,18 +23,21 @@
 //! matrix, campaign resume, and tape-replay parity gates all rely on
 //! (`cargo run -p xtask -- determinism` checks it in CI).
 //!
-//! # Concurrency-safety instrumentation
+//! # Concurrency safety
 //!
-//! The contract is machine-checked from two directions (see [`race`]):
+//! Safe Rust rules out data races (`unsafe` is forbidden workspace-wide), so
+//! the contract only needs two more guarantees, both machine-checked:
 //!
-//! * `PACE_RACE=<0|1|strict>` arms a shadow write-set checker: every region
-//!   records the slot indices and `(lo, hi)` ranges its tasks receive and
-//!   verifies after scope join that they are pairwise-disjoint and exactly
-//!   cover `0..len`. Disarmed cost is one relaxed atomic load per region.
-//! * `PACE_SCHED=<seed>` turns the work-pulling loop adversarial: task
-//!   execution order is permuted by a seeded PRNG and randomized yields are
-//!   injected between pulls. Results must not change — `xtask race-report`
-//!   sweeps seeds × thread counts and asserts bit-identical output.
+//! * **Grids tile their buffers.** [`split_by_grid`] — the one place a
+//!   caller-supplied grid enters the pool — asserts on every call that the
+//!   grid covers `0..len` in order with no gap or overlap, and panics with
+//!   the offending range otherwise. The cost is O(chunks), at most 32 per
+//!   region.
+//! * **Results do not depend on the schedule.** [`race::set_sched`] turns
+//!   the work-pulling loop adversarial: task execution order is permuted by
+//!   a seeded PRNG and randomized yields are injected between pulls. Results
+//!   must not change — `xtask determinism` sweeps seeds × thread counts and
+//!   asserts bit-identical output.
 //!
 //! A panicking pool task no longer tears down the scope with a generic
 //! "scoped thread panicked" message: each task runs under `catch_unwind`,
@@ -174,27 +177,43 @@ pub fn chunk_ranges(len: usize, min_chunk: usize) -> Vec<(usize, usize)> {
 /// offset. This is the sanctioned hand-off for parallel `&mut` access:
 /// split before the fan-out, move each chunk into its task.
 ///
-/// The split is sequential by chunk *size*, so a grid with a gap or overlap
-/// silently mislabels chunks — exactly the bug class the `PACE_RACE`
-/// write-set checker (and the [`for_each_split`] wrapper) exists to catch.
+/// # Panics
+/// Panics, naming the offending range, unless `grid` tiles
+/// `0..data.len()` in order: the split is sequential by chunk *size*, so a
+/// gap, an overlap, or a short or over-long grid would otherwise hand out
+/// chunks whose labels silently drift from the data they cover.
+#[track_caller]
 pub fn split_by_grid<'a, T>(
     data: &'a mut [T],
     grid: &[(usize, usize)],
 ) -> Vec<(usize, &'a mut [T])> {
+    let len = data.len();
+    let mut covered = 0;
     let mut rest = data;
     let mut parts = Vec::with_capacity(grid.len());
-    for &(lo, hi) in grid {
+    for (i, &(lo, hi)) in grid.iter().enumerate() {
+        assert!(
+            lo <= covered,
+            "split_by_grid: gap [{covered}, {lo}) before chunk {i} [{lo}, {hi}) of 0..{len}"
+        );
+        assert!(
+            lo == covered,
+            "split_by_grid: overlap [{lo}, {covered}) at chunk {i} [{lo}, {hi}) of 0..{len}"
+        );
+        assert!(
+            lo <= hi && hi <= len,
+            "split_by_grid: chunk {i} [{lo}, {hi}) is inverted or runs past 0..{len}"
+        );
         let (head, tail) = rest.split_at_mut(hi - lo);
         parts.push((lo, head));
         rest = tail;
+        covered = hi;
     }
+    assert!(
+        covered == len,
+        "split_by_grid: gap [{covered}, {len}) after the last chunk of 0..{len}"
+    );
     parts
-}
-
-/// One pull permutation + jitter stream per region when `PACE_SCHED` is
-/// armed; `None` under natural scheduling.
-fn adversarial_order(tasks: usize) -> Option<Vec<usize>> {
-    race::sched_seed().map(|seed| race::permutation(tasks, seed))
 }
 
 /// Executes `f(0)`, …, `f(tasks - 1)`, each exactly once, distributing
@@ -203,39 +222,29 @@ fn adversarial_order(tasks: usize) -> Option<Vec<usize>> {
 ///
 /// Task *results* must be communicated through disjoint slots (as the
 /// higher-level primitives do); the execution order of tasks is unspecified
-/// (and actively permuted under `PACE_SCHED`). A panicking task propagates
-/// the panic to the caller once the region joins — the lowest-indexed
-/// panic wins when several tasks panic — but fallible work should return
-/// `Result` via [`par_try_map`] instead of panicking.
-#[track_caller]
+/// (and actively permuted under [`race::set_sched`]). A panicking task
+/// propagates the panic to the caller once the region joins — the
+/// lowest-indexed panic wins when several tasks panic — but fallible work
+/// should return `Result` via [`par_try_map`] instead of panicking.
 pub fn run(tasks: usize, f: impl Fn(usize) + Sync) {
-    let caller = std::panic::Location::caller();
     let workers = if in_worker() { 1 } else { threads().min(tasks) };
-    let recorder =
-        race::armed().then(|| race::RegionRecorder::new(race::site_label("run", caller), tasks));
-    let perm = adversarial_order(tasks);
+    // One pull permutation + jitter stream per region when the adversarial
+    // scheduler is armed; natural order otherwise.
+    let seed = race::sched_seed();
+    let perm = seed.map(|sd| race::permutation(tasks, sd));
     if workers <= 1 {
         for slot in 0..tasks {
-            let i = perm.as_ref().map_or(slot, |p| p[slot]);
-            f(i);
-            if let Some(r) = &recorder {
-                r.record(i, i, i + 1);
-            }
+            f(perm.as_ref().map_or(slot, |p| p[slot]));
         }
         pace_trace::POOL_TASKS.add(tasks as u64);
         pace_trace::POOL_INLINE_TASKS.record(tasks as u64);
-        if let Some(r) = recorder {
-            r.finish();
-        }
         return;
     }
     let next = AtomicUsize::new(0);
     // Lowest-indexed panic payload across workers; re-raised after join.
     let panicked: Mutex<Option<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(None);
-    let seed = race::sched_seed();
     std::thread::scope(|s| {
         for w in 0..workers {
-            let recorder = recorder.as_ref();
             let perm = perm.as_ref();
             let (next, panicked, f) = (&next, &panicked, &f);
             s.spawn(move || {
@@ -254,12 +263,7 @@ pub fn run(tasks: usize, f: impl Fn(usize) + Sync) {
                     // A panicking task only touched its own disjoint slot,
                     // so resuming the unwind at the caller is sound.
                     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i))) {
-                        Ok(()) => {
-                            if let Some(r) = recorder {
-                                r.record(i, i, i + 1);
-                            }
-                            pulled += 1;
-                        }
+                        Ok(()) => pulled += 1,
                         Err(payload) => {
                             let mut lowest = lock_ignore_poison(panicked);
                             if lowest.as_ref().is_none_or(|&(idx, _)| i < idx) {
@@ -280,22 +284,18 @@ pub fn run(tasks: usize, f: impl Fn(usize) + Sync) {
     {
         std::panic::resume_unwind(payload);
     }
-    if let Some(r) = recorder {
-        r.finish();
-    }
 }
 
 /// Takes the lock even when a sibling worker panicked (the panic will
 /// propagate at scope join regardless).
-pub(crate) fn lock_ignore_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+fn lock_ignore_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Runs `f(i, item)` for each owned item, one task per item. Ownership
 /// transfer is what lets callers hand each task a disjoint `&mut` sub-slice
 /// of one output buffer (split before the fan-out) — [`for_each_split`]
-/// packages that pattern, write-set checking included.
-#[track_caller]
+/// packages that pattern, grid check included.
 pub fn for_each_owned<T: Send>(items: Vec<T>, f: impl Fn(usize, T) + Sync) {
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     run(slots.len(), |i| {
@@ -308,36 +308,19 @@ pub fn for_each_owned<T: Send>(items: Vec<T>, f: impl Fn(usize, T) + Sync) {
 
 /// Splits `data` over `grid` (see [`split_by_grid`]) and runs
 /// `f(lo, chunk)` for each part in parallel — the checked primitive for
-/// writing one buffer from many tasks. When `PACE_RACE` is armed the
-/// region records the `(lo, lo + chunk.len())` range each task received
-/// and verifies after join that the ranges tile `0..data.len()` exactly;
-/// a gap or overlap in a hand-rolled grid becomes a typed `RaceReport`
-/// instead of silently misplaced writes.
+/// writing one buffer from many tasks. A grid that does not tile
+/// `0..data.len()` panics at the caller's location before any task runs.
 #[track_caller]
 pub fn for_each_split<T: Send>(
     data: &mut [T],
     grid: &[(usize, usize)],
     f: impl Fn(usize, &mut [T]) + Sync,
 ) {
-    let caller = std::panic::Location::caller();
-    let recorder = race::armed()
-        .then(|| race::RegionRecorder::new(race::site_label("for_each_split", caller), data.len()));
-    let parts = split_by_grid(data, grid);
-    let rec = recorder.as_ref();
-    for_each_owned(parts, |task, (lo, chunk)| {
-        if let Some(r) = rec {
-            r.record(task, lo, lo + chunk.len());
-        }
-        f(lo, chunk);
-    });
-    if let Some(r) = recorder {
-        r.finish();
-    }
+    for_each_owned(split_by_grid(data, grid), |_, (lo, chunk)| f(lo, chunk));
 }
 
 /// Maps `f` over `items` in parallel (one task per item — for coarse-grained
 /// items like experiment cells), returning results in **input order**.
-#[track_caller]
 pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(usize, &T) -> R + Sync) -> Vec<R> {
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     run(items.len(), |i| {
@@ -359,7 +342,6 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(usize, &T) -> R + Sync)
 /// failing item — deterministic no matter which worker failed first. Pool
 /// workers therefore surface typed errors (e.g. a `ProbeError` from a
 /// fault-injected oracle) instead of panicking the process.
-#[track_caller]
 pub fn par_try_map<T: Sync, R: Send, E: Send>(
     items: &[T],
     f: impl Fn(usize, &T) -> Result<R, E> + Sync,
@@ -382,26 +364,13 @@ pub fn par_try_map<T: Sync, R: Send, E: Send>(
 /// Runs `f(start, end)` over the fixed chunk grid of `0..len` (see
 /// [`chunk_ranges`]) and returns one result per chunk **in chunk order** —
 /// the ordered-reduction primitive: fold the returned vector sequentially
-/// and the accumulation order is independent of the thread count. When
-/// `PACE_RACE` is armed the grid itself is verified to tile `0..len`.
-#[track_caller]
+/// and the accumulation order is independent of the thread count.
 pub fn par_chunks<R: Send>(
     len: usize,
     min_chunk: usize,
     f: impl Fn(usize, usize) -> R + Sync,
 ) -> Vec<R> {
     let grid = chunk_ranges(len, min_chunk);
-    if race::armed() {
-        let spans: Vec<race::TaskSpan> = grid
-            .iter()
-            .enumerate()
-            .map(|(task, &(lo, hi))| race::TaskSpan { task, lo, hi })
-            .collect();
-        let site = race::site_label("par_chunks", std::panic::Location::caller());
-        if let Err(report) = race::check_write_set(&site, len, &spans) {
-            race::handle(&report);
-        }
-    }
     par_map(&grid, |_, &(lo, hi)| f(lo, hi))
 }
 

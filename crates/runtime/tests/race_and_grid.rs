@@ -1,52 +1,98 @@
 //! Concurrency-safety integration tests for the pool: property-tested grid
-//! hand-offs (pairwise-disjoint, exact cover), deterministic panic
-//! propagation at scope join, and the armed `PACE_RACE` checker catching a
-//! seeded dirty region.
+//! hand-offs (pairwise-disjoint, exact cover), the always-on grid assertion
+//! in `split_by_grid` rejecting gaps, overlaps, and short or over-long
+//! grids, and deterministic panic propagation at scope join.
 
 use pace_runtime as pool;
-use pace_runtime::flags::FlagMode;
 use pace_runtime::race;
 use proptest::prelude::*;
+
+/// Seeds defect kind `defect` into the last chunk of a clean grid and
+/// returns the text its panic must contain, or `None` (grid untouched) for
+/// kind 0 and for defects the grid is too small to take.
+fn seed_defect(grid: &mut Vec<(usize, usize)>, len: usize, defect: usize) -> Option<String> {
+    let last = grid.len().checked_sub(1)?;
+    let (lo, hi) = grid[last];
+    match defect {
+        // Gap: the last chunk starts one element late.
+        1 if lo > 0 => {
+            grid[last].0 = lo + 1;
+            Some(format!("gap [{lo}, {})", lo + 1))
+        }
+        // Overlap: the last chunk starts one element early.
+        2 if lo > 0 => {
+            grid[last].0 = lo - 1;
+            Some(format!("overlap [{}, {lo})", lo - 1))
+        }
+        // Short: the last chunk is missing.
+        3 => {
+            grid.pop();
+            Some(format!("gap [{lo}, {len})"))
+        }
+        // Over-long: the last chunk runs one element past the buffer.
+        4 => {
+            grid[last].1 = hi + 1;
+            Some(format!(
+                "[{lo}, {}) is inverted or runs past 0..{len}",
+                hi + 1
+            ))
+        }
+        _ => None,
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// `chunk_ranges` grids are pairwise-disjoint and exactly cover
-    /// `0..len` for arbitrary lengths and `min_chunk`s — verified through
-    /// the same write-set checker the armed pool uses at run time.
+    /// `0..len` for arbitrary lengths and `min_chunk`s: each chunk is
+    /// non-empty and starts where the previous one ended, and the last one
+    /// ends at `len`.
     #[test]
     fn chunk_grids_tile_exactly(len in 0usize..20_000, min_chunk in 0usize..5_000) {
         let grid = pool::chunk_ranges(len, min_chunk);
-        let spans: Vec<race::TaskSpan> = grid
-            .iter()
-            .enumerate()
-            .map(|(task, &(lo, hi))| race::TaskSpan { task, lo, hi })
-            .collect();
-        prop_assert!(race::check_write_set("prop::grid", len, &spans).is_ok());
+        let mut covered = 0;
+        for &(lo, hi) in &grid {
+            prop_assert_eq!(lo, covered);
+            prop_assert!(hi > lo);
+            covered = hi;
+        }
+        prop_assert_eq!(covered, len);
     }
 
     /// `split_by_grid` hand-offs match the grid's labels and lengths, and
     /// writing every chunk through its label covers each element exactly
-    /// once — the disjoint `&mut` hand-off contract.
+    /// once — the disjoint `&mut` hand-off contract. The same grid with a
+    /// seeded gap, overlap, missing last chunk, or over-long last chunk
+    /// must panic naming the offending range.
     #[test]
     fn split_by_grid_hands_off_disjoint_exact_cover(
         len in 0usize..20_000,
         min_chunk in 0usize..5_000,
+        defect in 0usize..5,
     ) {
-        let grid = pool::chunk_ranges(len, min_chunk);
+        let mut grid = pool::chunk_ranges(len, min_chunk);
         let mut data = vec![0u32; len];
-        let parts = pool::split_by_grid(&mut data, &grid);
-        prop_assert_eq!(parts.len(), grid.len());
-        for ((lo, chunk), &(glo, ghi)) in parts.iter().zip(&grid) {
-            prop_assert_eq!(*lo, glo);
-            prop_assert_eq!(chunk.len(), ghi - glo);
-        }
-        for (lo, chunk) in parts {
-            for (j, v) in chunk.iter_mut().enumerate() {
-                *v += (lo + j) as u32 + 1;
+        if let Some(expected) = seed_defect(&mut grid, len, defect) {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pool::split_by_grid(&mut data, &grid).len()
+            }));
+            let msg = panic_message(result.expect_err("a defective grid must panic"));
+            prop_assert!(msg.contains(&expected), "expected {expected:?}, got {msg:?}");
+        } else {
+            let parts = pool::split_by_grid(&mut data, &grid);
+            prop_assert_eq!(parts.len(), grid.len());
+            for ((lo, chunk), &(glo, ghi)) in parts.iter().zip(&grid) {
+                prop_assert_eq!(*lo, glo);
+                prop_assert_eq!(chunk.len(), ghi - glo);
             }
+            for (lo, chunk) in parts {
+                for (j, v) in chunk.iter_mut().enumerate() {
+                    *v += (lo + j) as u32 + 1;
+                }
+            }
+            prop_assert!(data.iter().enumerate().all(|(i, &v)| v == i as u32 + 1));
         }
-        prop_assert!(data.iter().enumerate().all(|(i, &v)| v == i as u32 + 1));
     }
 }
 
@@ -100,12 +146,12 @@ fn par_map_panic_is_not_masked_as_missing_slot() {
     assert!(!msg.contains("pool task completed"), "got: {msg:?}");
 }
 
-/// Fail-on-old-code witness for the dynamic checker: a hand-rolled grid
+/// Fail-on-old-code witness for the grid assertion: a hand-rolled grid
 /// with a hole hands out chunks whose labels do not tile the buffer;
-/// `PACE_RACE=strict` must turn that into a panic naming the gap.
+/// `for_each_split` must refuse it with a panic naming the gap, with no
+/// flag set.
 #[test]
-fn strict_race_checker_catches_gap_grid() {
-    race::RACE.set(FlagMode::Strict);
+fn for_each_split_rejects_gap_grid() {
     pool::set_threads(2);
     let result = std::panic::catch_unwind(|| {
         let mut data = vec![0u8; 10];
@@ -115,18 +161,15 @@ fn strict_race_checker_catches_gap_grid() {
             chunk.fill(1);
         });
     });
-    race::RACE.set(FlagMode::Off);
     pool::set_threads(0);
-    let msg = panic_message(result.expect_err("strict checker must panic on the gap"));
-    assert!(msg.contains("write-set violation"), "got: {msg:?}");
-    assert!(msg.contains("gap: [3, 5)"), "got: {msg:?}");
+    let msg = panic_message(result.expect_err("a gap grid must panic"));
+    assert!(msg.contains("gap [3, 5)"), "got: {msg:?}");
 }
 
-/// The armed checker accepts every clean primitive — no false positives on
-/// the pool's own grids, at any thread count or adversarial seed.
+/// The grid assertion accepts every clean primitive — no false positives
+/// on the pool's own grids, at any thread count or adversarial seed.
 #[test]
 fn armed_checker_is_silent_on_clean_regions() {
-    race::RACE.set(FlagMode::Strict);
     for seed in [None, Some(11u64)] {
         race::set_sched(seed);
         for t in [1usize, 4] {
@@ -145,6 +188,5 @@ fn armed_checker_is_silent_on_clean_regions() {
         }
     }
     race::set_sched(None);
-    race::RACE.set(FlagMode::Off);
     pool::set_threads(0);
 }

@@ -2,10 +2,8 @@
 //! env-flag grammar.
 //!
 //! The parsing machinery ([`EnvFlag`], [`EnvSpec`], [`FlagMode`]) lives in
-//! [`pace_runtime::flags`] — the bottom of the crate stack, so the pool's
-//! own switches (`PACE_RACE`, `PACE_SCHED`; see `pace_runtime::race`) can
-//! use it too — and is re-exported here unchanged. The grammar, shared by
-//! every switch:
+//! [`pace_runtime::flags`] — the bottom of the crate stack — and is
+//! re-exported here unchanged. The grammar, shared by every switch:
 //!
 //! * `0` (or unset, or anything unrecognized) — off;
 //! * `1` / `true` / `on` — enabled: findings are *reported* (a dirty audit

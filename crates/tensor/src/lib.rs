@@ -27,11 +27,11 @@
 //!   re-exported from `pace-runtime`): fixed size-derived chunk grids and
 //!   ordered reductions make parallel matmul/elementwise kernels and batch
 //!   labeling bit-identical to sequential execution at any thread count.
-//!   Its concurrency-safety auditor rides along: `PACE_RACE` verifies every
-//!   fan-out's write set (pairwise-disjoint, exact cover), `PACE_SCHED`
-//!   fuzzes chunk-pull order with an adversarial seeded scheduler, and the
-//!   [`dataflow`] arena-interference check proves the optimizer's
-//!   buffer-reuse plans free of liveness overlaps;
+//!   Every caller-supplied grid is asserted to tile its buffer exactly, a
+//!   seeded adversarial scheduler (`pool::race::set_sched`) fuzzes
+//!   chunk-pull order for the determinism gate, and the [`dataflow`]
+//!   arena-interference check proves the optimizer's buffer-reuse plans
+//!   free of liveness overlaps;
 //! * [`trace`] — the structured tracing and metrics layer (`PACE_TRACE`,
 //!   re-exported from `pace-trace`): scoped spans, lock-free
 //!   counters/histograms, and per-op tape profiles, all emitted as JSONL

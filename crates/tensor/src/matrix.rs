@@ -162,8 +162,8 @@ pub(crate) fn matmul_into(dst: &mut Matrix, a: &Matrix, b: &Matrix) {
     });
     if decision.is_parallel() && n > 1 && m > 0 && !pool::in_worker() && pool::threads() > 1 {
         let min_rows = decision.grain(n);
-        // Row grid scaled to element offsets, so the pool's write-set
-        // checker sees the ranges in output-element coordinates.
+        // Row grid scaled to element offsets, because `split_by_grid`
+        // splits the output's element buffer.
         let grid: Vec<(usize, usize)> = pool::chunk_ranges(n, min_rows)
             .into_iter()
             .map(|(lo, hi)| (lo * m, hi * m))

@@ -266,10 +266,10 @@ impl TapePlan {
     /// Proves the plan's arena assignment race-free: no slot is handed to a
     /// step while a previous tenant's value is still live (see
     /// [`dataflow::check_slot_interference`] for the exact condition). This
-    /// is the static half of the concurrency-safety auditor: it guarantees
+    /// is the static half of the concurrency-safety story: it guarantees
     /// that [`TapePlan::replay`]'s take-out-the-destination write borrow can
     /// never alias a live operand, for any chunk grid the step's internal
-    /// fan-out may choose. `xtask race-report` runs it over the demo tapes;
+    /// fan-out may choose. `xtask tape-report` runs it over the real tapes;
     /// [`optimize_if_enabled`] runs it at the `PACE_OPT` choke point.
     ///
     /// # Errors

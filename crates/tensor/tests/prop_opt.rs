@@ -4,7 +4,7 @@
 //! three tape shapes the PACE attack actually differentiates — within
 //! `1e-5`, under every pass combination. The full pipeline's replay must
 //! also be bit-identical to its own sequential replay across thread counts
-//! and adversarial `PACE_SCHED` seeds.
+//! and adversarial scheduler seeds.
 
 use pace_tensor::opt::{optimize_with, Arena, OptConfig, TapePlan};
 use pace_tensor::{pool, Graph, Matrix, Var};
@@ -114,8 +114,8 @@ proptest! {
     /// Full pipeline (fold + CSE + DCE + buffer reuse): the optimized replay
     /// of forward, gradient, and gradient-of-gradient must match what eager
     /// execution recorded, and must be bit-identical to the sequential
-    /// replay at {1, 4, 8} threads under four adversarial `PACE_SCHED`
-    /// seeds, with a cost model that forces every kernel's fan-out path.
+    /// replay at {1, 4, 8} threads under four adversarial scheduler seeds,
+    /// with a cost model that forces every kernel's fan-out path.
     #[test]
     fn optimized_replay_matches_forward_grad_and_double_grad(
         r in 1usize..4,

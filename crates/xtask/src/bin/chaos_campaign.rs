@@ -17,6 +17,9 @@
 //! chaos_campaign <manifest-path> [seed]
 //! ```
 
+#[path = "../fingerprint.rs"]
+mod fingerprint;
+
 use pace_ce::{CeConfig, CeModel, CeModelType, EncodedWorkload};
 use pace_core::{run_campaign, AttackMethod, AttackerKnowledge, PipelineConfig, Victim};
 use pace_data::{build, DatasetKind, Scale};
@@ -95,52 +98,14 @@ fn main() -> ExitCode {
         outcome.divergence
     );
 
-    // Bit-exact fingerprint: summaries, divergence, poison batch, and the
-    // poisoned model's parameter image. Two runs that print the same
-    // fingerprint reached the same final state.
-    let mut h = Fnv::new();
-    for s in [&outcome.clean, &outcome.poisoned] {
-        for v in [s.mean, s.median, s.p90, s.p95, s.p99, s.max] {
-            h.write_u64(v.to_bits());
+    match fingerprint::campaign_fingerprint(&outcome, victim.model()) {
+        Ok(fp) => {
+            println!("fingerprint: {fp:016x}");
+            ExitCode::SUCCESS
         }
-    }
-    h.write_u64(outcome.divergence.to_bits());
-    for q in &outcome.poison {
-        for &t in &q.tables {
-            h.write_u64(t as u64);
+        Err(e) => {
+            eprintln!("chaos_campaign: {e}");
+            ExitCode::from(2)
         }
-        for p in &q.predicates {
-            h.write_u64(p.table as u64);
-            h.write_u64(p.col as u64);
-            h.write_u64(p.lo as u64);
-            h.write_u64(p.hi as u64);
-        }
-    }
-    let mut params = Vec::new();
-    if let Err(e) = pace_tensor::serialize::write_params(victim.model().params(), &mut params) {
-        eprintln!("chaos_campaign: cannot serialize the poisoned model: {e}");
-        return ExitCode::from(2);
-    }
-    for b in params {
-        h.write_u64(u64::from(b));
-    }
-    println!("fingerprint: {:016x}", h.finish());
-    ExitCode::SUCCESS
-}
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-    fn write_u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.0
     }
 }

@@ -1,6 +1,6 @@
 //! Workspace maintenance tasks:
 //! `cargo run -p xtask --
-//! <lint|tape-report|trace-report|chaos|determinism|race-report|serve-report
+//! <lint|tape-report|trace-report|chaos|determinism|serve-report
 //! |defense-report>`.
 //!
 //! # `lint` — source-level checks the compiler cannot express
@@ -44,17 +44,22 @@
 //!    must not read `threads()`/env vars or touch `Mutex`/atomic shared
 //!    state — the pool's indexed slots and `for_each_split` hand-offs are
 //!    the only sanctioned cross-task channels. A violation reintroduces
-//!    thread-count-dependent grids or racy accumulation, the two bug
-//!    families `PACE_RACE` exists to catch at run time.
+//!    thread-count-dependent grids or order-dependent accumulation — bugs
+//!    that `determinism` would otherwise only catch after the fact, and
+//!    only on the inputs it happens to run.
 //!
-//! # `determinism` — the `PACE_THREADS` bit-identity gate
+//! # `determinism` — the thread-count and schedule bit-identity gate
 //!
 //! Exercises the three parallel surfaces in-process at several thread
 //! counts and requires byte-identical results: batch exact counting
 //! (`Executor::count_batch`), the cache-blocked parallel matmul, and a
-//! briefly trained CE model's full parameter vector. CI runs it under
+//! briefly trained CE model's full parameter vector. Then sweeps the
+//! adversarial scheduler (`pace_tensor::pool::race`): the matmul,
+//! `count_batch`, and a reduced demo campaign (fingerprinted like
+//! `chaos_campaign`) must be bit-identical to the natural 1-thread run
+//! across [`SCHED_SEEDS`] × [`SCHED_THREADS`]. CI runs it under
 //! `PACE_THREADS=1` and `PACE_THREADS=4` and additionally diffs the two
-//! process outputs.
+//! process outputs, campaign fingerprint included.
 //!
 //! # `chaos` — the fault-injection matrix
 //!
@@ -83,7 +88,10 @@
 //! ([`pace_tensor::opt`]), verifies the optimized replay against eager
 //! execution, and prints the per-context report: node/FLOP/peak-live-byte
 //! counts before and after, per-pass removal counts, and the op histogram.
-//! Exits non-zero if any optimized replay diverges.
+//! Each buffer-reuse plan must also pass the arena-slot interference check
+//! ([`pace_tensor::dataflow::check_slot_interference`]): no slot is handed
+//! to a step while a previous tenant is still live. Exits non-zero if any
+//! optimized replay diverges or any plan interferes.
 //!
 //! # `trace-report` — dynamic observability of a real campaign
 //!
@@ -97,27 +105,6 @@
 //! a disarmed-overhead gate (a disarmed counter increment must cost about
 //! one relaxed atomic load). With a path argument: parses and renders an
 //! existing trace file, no gates.
-//!
-//! # `race-report` — the concurrency-safety gate
-//!
-//! Three layers, all in-process (see `DESIGN.md` § Concurrency safety):
-//!
-//! 1. **Static** — the arena-slot interference check
-//!    ([`pace_tensor::dataflow::check_slot_interference`]) must prove the
-//!    buffer-reuse plans of the real tapes (CE training step, attack
-//!    hypergradient at `K = 1` and `K = 4`) free of liveness overlaps, and
-//!    must *catch* a seeded synthetic overlap — a fail-on-old-code witness
-//!    that the checker has teeth.
-//! 2. **Dynamic** — with `PACE_RACE=strict` armed, a seeded dirty parallel
-//!    region (a grid with a hole) must panic with a typed write-set
-//!    violation, while the clean kernels stay silent.
-//! 3. **Schedule fuzzing** — the parallel kernels (matmul, `count_batch`)
-//!    and a reduced demo campaign must be bit-identical across
-//!    [`SCHED_SEEDS`] adversarial `PACE_SCHED` seeds × {1, 4, 8} threads.
-//!
-//! Finishes with a disarmed-overhead gate (the per-region `PACE_RACE` check
-//! must cost about one relaxed load, ≤ 1% of a matmul/count fan-out) and
-//! writes `BENCH_race.json` at the workspace root.
 //!
 //! # `serve-report` — the serving-runtime SLO gate
 //!
@@ -189,6 +176,8 @@ use std::process::ExitCode;
 use std::sync::OnceLock;
 use std::time::Instant;
 
+mod fingerprint;
+
 fn main() -> ExitCode {
     let mode = std::env::args().nth(1).unwrap_or_default();
     match mode.as_str() {
@@ -197,14 +186,13 @@ fn main() -> ExitCode {
         "trace-report" => trace_report(),
         "chaos" => chaos(),
         "determinism" => determinism(),
-        "race-report" => race_report(),
         "serve-report" => serve_report(),
         "defense-report" => defense_report(),
         _ => {
             eprintln!(
                 "usage: cargo run -p xtask -- \
-                 <lint|tape-report|trace-report|chaos|determinism|race-report\
-                 |serve-report|defense-report>"
+                 <lint|tape-report|trace-report|chaos|determinism|serve-report\
+                 |defense-report>"
             );
             ExitCode::FAILURE
         }
@@ -235,11 +223,28 @@ fn lint() -> ExitCode {
 // ---- tape-report ------------------------------------------------------------
 
 /// Optimizes and verifies one tape, printing the static report. Returns
-/// whether the optimized replay matched eager execution.
+/// whether the optimized replay matched eager execution and the plan's
+/// arena assignment is free of slot interference.
 fn report_tape(g: &Graph, outputs: &[Var], inputs: &[Var], context: &str) -> bool {
     let plan = pace_tensor::opt::optimize(g, outputs, inputs, context);
     print!("{}", plan.stats().render());
-    match plan.verify(g, pace_tensor::opt::VERIFY_TOL) {
+    let arena_ok = match plan.check_interference() {
+        Ok(stats) => {
+            println!(
+                "   arena: CLEAN — {} slot-writing steps over {} slots, {} adjacent \
+                 pair(s) checked",
+                stats.steps, stats.slots, stats.checked_pairs
+            );
+            true
+        }
+        Err(violations) => {
+            for v in &violations {
+                println!("   arena: INTERFERENCE — {v}");
+            }
+            false
+        }
+    };
+    let replay_ok = match plan.verify(g, pace_tensor::opt::VERIFY_TOL) {
         Ok(()) => {
             println!(
                 "   replay: VERIFIED against eager execution (tol {})\n",
@@ -251,7 +256,8 @@ fn report_tape(g: &Graph, outputs: &[Var], inputs: &[Var], context: &str) -> boo
             println!("   replay: MISMATCH — {e}\n");
             false
         }
-    }
+    };
+    arena_ok && replay_ok
 }
 
 fn tape_report() -> ExitCode {
@@ -318,10 +324,10 @@ fn tape_report() -> ExitCode {
     }
 
     if all_ok {
-        println!("tape-report: all optimized replays verified");
+        println!("tape-report: all optimized replays verified, all arenas interference-free");
         ExitCode::SUCCESS
     } else {
-        eprintln!("tape-report: at least one optimized replay diverged");
+        eprintln!("tape-report: an optimized replay diverged or an arena plan interferes");
         eprintln!("tape-report: FAILED");
         ExitCode::FAILURE
     }
@@ -1391,6 +1397,60 @@ fn matrix_bits(matrices: &[Matrix]) -> Vec<u32> {
 /// Thread counts the in-process gate compares against the sequential run.
 const DETERMINISM_THREADS: [usize; 3] = [2, 4, 8];
 
+/// Adversarial scheduler seeds for the schedule-fuzz matrix. Eight
+/// arbitrary but fixed seeds; each drives a different chunk-pull
+/// permutation and yield pattern in every parallel region.
+const SCHED_SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 0x5eed, 0xfeed_f00d];
+
+/// Thread counts the schedule matrix crosses with [`SCHED_SEEDS`].
+const SCHED_THREADS: [usize; 3] = [1, 4, 8];
+
+/// Runs a reduced demo campaign (the `chaos_campaign` recipe at 200 history
+/// / 40 test queries) from scratch — victim training included, so every
+/// parallel kernel sits under the active schedule — and returns its
+/// bit-exact fingerprint.
+fn demo_campaign_digest(ds: &Dataset, work: &Path, tag: &str) -> Result<u64, String> {
+    let exec = Executor::new(ds);
+    let spec = WorkloadSpec {
+        max_join_tables: 3,
+        ..WorkloadSpec::default()
+    };
+    let mut rng = StdRng::seed_from_u64(142);
+    let history = generate_queries(ds, &spec, &mut rng, 200);
+    let test = exec.label_nonzero(generate_queries(ds, &spec, &mut rng, 40));
+    let labeled = exec.label_nonzero(history.clone());
+    let data = EncodedWorkload::from_workload(&QueryEncoder::new(ds), &labeled);
+    let mut model = CeModel::new(CeModelType::Fcn, ds, CeConfig::quick(), 42);
+    let mut train_rng = StdRng::seed_from_u64(242);
+    model
+        .train(&data, &mut train_rng)
+        .map_err(|e| format!("victim training failed: {e}"))?;
+    let mut victim = Victim::new(model, Executor::new(ds), history);
+    let k = AttackerKnowledge::from_public(ds, spec);
+    let mut cfg = PipelineConfig::quick();
+    // Fixed surrogate type: speculation keys off wall-clock latency and
+    // would make the digest non-deterministic.
+    cfg.surrogate_type = Some(CeModelType::Fcn);
+    let manifest = work.join(format!("determinism-{tag}.campaign"));
+    let outcome = run_campaign(&mut victim, AttackMethod::Pace, &test, &k, &cfg, &manifest)
+        .map_err(|e| format!("campaign failed: {e}"))?;
+    fingerprint::campaign_fingerprint(&outcome, victim.model())
+}
+
+/// The deterministic `n × n` matmul operand pair (an LCG stream).
+fn lcg_matrices(n: usize) -> (Matrix, Matrix) {
+    let mut state = 0x5eed_u64;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 33) as f32 / 2.0e9) - 1.0
+    };
+    let a = Matrix::from_vec(n, n, (0..n * n).map(|_| next()).collect());
+    let b = Matrix::from_vec(n, n, (0..n * n).map(|_| next()).collect());
+    (a, b)
+}
+
 fn determinism() -> ExitCode {
     use pace_tensor::pool;
     let mut failures: Vec<String> = Vec::new();
@@ -1416,15 +1476,7 @@ fn determinism() -> ExitCode {
 
     // (2) The cache-blocked parallel matmul kernel, bit-for-bit.
     let n = 160;
-    let mut state = 0x5eed_u64;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        ((state >> 33) as f32 / 2.0e9) - 1.0
-    };
-    let a = Matrix::from_vec(n, n, (0..n * n).map(|_| next()).collect());
-    let b = Matrix::from_vec(n, n, (0..n * n).map(|_| next()).collect());
+    let (a, b) = lcg_matrices(n);
     pool::set_threads(1);
     let product = matrix_bits(&[a.matmul(&b)]);
     for threads in DETERMINISM_THREADS {
@@ -1438,7 +1490,7 @@ fn determinism() -> ExitCode {
     // (3) A briefly trained CE model: the full parameter vector must be
     // byte-equal whatever the thread count, because training is a long chain
     // of the kernels above — any reduction-order leak compounds here.
-    let labeled = exec.label_nonzero(queries);
+    let labeled = exec.label_nonzero(queries.clone());
     let data = EncodedWorkload::from_workload(&QueryEncoder::new(&ds), &labeled);
     let train_once = || -> Result<Vec<u32>, String> {
         let mut model = CeModel::new(CeModelType::Fcn, &ds, CeConfig::quick(), 6);
@@ -1469,457 +1521,61 @@ fn determinism() -> ExitCode {
             );
         }
     }
+
+    // (4) Schedule-fuzz matrix: the kernels and a reduced demo campaign
+    // must be bit-identical across adversarial seeds × thread counts.
+    let work_dir = std::env::temp_dir().join(format!("pace-determinism-{}", std::process::id()));
+    if let Err(e) = std::fs::create_dir_all(&work_dir) {
+        eprintln!("determinism: cannot create {}: {e}", work_dir.display());
+        return ExitCode::FAILURE;
+    }
+    pool::race::set_sched(None);
+    pool::set_threads(1);
+    match demo_campaign_digest(&ds, &work_dir, "base") {
+        Err(e) => failures.push(format!("baseline campaign failed: {e}")),
+        Ok(digest_base) => {
+            println!("determinism: campaign fingerprint {digest_base:016x}");
+            for (si, &seed) in SCHED_SEEDS.iter().enumerate() {
+                for &threads in &SCHED_THREADS {
+                    pool::race::set_sched(Some(seed));
+                    pool::set_threads(threads);
+                    let at = format!("schedule seed {seed:#x} at {threads} threads");
+                    if matrix_bits(&[a.matmul(&b)]) != product {
+                        failures.push(format!("matmul diverges under {at}"));
+                    }
+                    if exec.count_batch(&queries) != counts {
+                        failures.push(format!("count_batch diverges under {at}"));
+                    }
+                    match demo_campaign_digest(&ds, &work_dir, &format!("s{si}t{threads}")) {
+                        Ok(d) if d == digest_base => {}
+                        Ok(d) => failures.push(format!(
+                            "demo campaign diverges under {at}: {d:016x} != {digest_base:016x}"
+                        )),
+                        Err(e) => failures.push(format!("demo campaign failed under {at}: {e}")),
+                    }
+                }
+                println!(
+                    "determinism: schedule seed {seed:#x}: matmul, count_batch and campaign \
+                     checked at {SCHED_THREADS:?} threads"
+                );
+            }
+        }
+    }
+    pool::race::set_sched(None);
     pool::set_threads(0);
+    let _ = std::fs::remove_dir_all(&work_dir);
 
     if failures.is_empty() {
-        println!("xtask determinism: bit-identical across thread counts");
+        println!(
+            "xtask determinism: bit-identical across thread counts and {} schedule combos",
+            SCHED_SEEDS.len() * SCHED_THREADS.len()
+        );
         ExitCode::SUCCESS
     } else {
         for f in &failures {
             eprintln!("xtask determinism: {f}");
         }
         eprintln!("xtask determinism: {} failure(s)", failures.len());
-        ExitCode::FAILURE
-    }
-}
-
-// ---- race-report ------------------------------------------------------------
-
-/// Adversarial `PACE_SCHED` seeds for the schedule-fuzz matrix. Eight
-/// arbitrary but fixed seeds; each drives a different chunk-pull
-/// permutation and yield pattern in every parallel region.
-const SCHED_SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 0x5eed, 0xfeed_f00d];
-
-/// Thread counts the schedule matrix crosses with [`SCHED_SEEDS`].
-const SCHED_THREADS: [usize; 3] = [1, 4, 8];
-
-/// FNV-1a over `u64` words — the same fingerprint `chaos_campaign` prints,
-/// so digests are comparable across gates.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-    fn write_u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// Runs a reduced demo campaign (the `chaos_campaign` recipe at 200 history
-/// / 40 test queries) from scratch — victim training included, so every
-/// parallel kernel sits under the active schedule — and returns its
-/// bit-exact fingerprint.
-fn demo_campaign_digest(ds: &Dataset, work: &Path, tag: &str) -> Result<u64, String> {
-    let exec = Executor::new(ds);
-    let spec = WorkloadSpec {
-        max_join_tables: 3,
-        ..WorkloadSpec::default()
-    };
-    let mut rng = StdRng::seed_from_u64(142);
-    let history = generate_queries(ds, &spec, &mut rng, 200);
-    let test = exec.label_nonzero(generate_queries(ds, &spec, &mut rng, 40));
-    let labeled = exec.label_nonzero(history.clone());
-    let data = EncodedWorkload::from_workload(&QueryEncoder::new(ds), &labeled);
-    let mut model = CeModel::new(CeModelType::Fcn, ds, CeConfig::quick(), 42);
-    let mut train_rng = StdRng::seed_from_u64(242);
-    model
-        .train(&data, &mut train_rng)
-        .map_err(|e| format!("victim training failed: {e}"))?;
-    let mut victim = Victim::new(model, Executor::new(ds), history);
-    let k = AttackerKnowledge::from_public(ds, spec);
-    let mut cfg = PipelineConfig::quick();
-    // Fixed surrogate type: speculation keys off wall-clock latency and
-    // would make the digest non-deterministic.
-    cfg.surrogate_type = Some(CeModelType::Fcn);
-    let manifest = work.join(format!("race-{tag}.campaign"));
-    let outcome = run_campaign(&mut victim, AttackMethod::Pace, &test, &k, &cfg, &manifest)
-        .map_err(|e| format!("campaign failed: {e}"))?;
-
-    let mut h = Fnv::new();
-    for s in [&outcome.clean, &outcome.poisoned] {
-        for v in [s.mean, s.median, s.p90, s.p95, s.p99, s.max] {
-            h.write_u64(v.to_bits());
-        }
-    }
-    h.write_u64(outcome.divergence.to_bits());
-    for q in &outcome.poison {
-        for &t in &q.tables {
-            h.write_u64(t as u64);
-        }
-        for p in &q.predicates {
-            h.write_u64(p.table as u64);
-            h.write_u64(p.col as u64);
-            h.write_u64(p.lo as u64);
-            h.write_u64(p.hi as u64);
-        }
-    }
-    let mut params = Vec::new();
-    pace_tensor::serialize::write_params(victim.model().params(), &mut params)
-        .map_err(|e| format!("cannot serialize the poisoned model: {e}"))?;
-    for b in params {
-        h.write_u64(u64::from(b));
-    }
-    Ok(h.finish())
-}
-
-/// The deterministic matmul operand pair the kernel-matrix gate reuses
-/// (the `determinism` LCG recipe).
-fn lcg_matrices(n: usize) -> (Matrix, Matrix) {
-    let mut state = 0x5eed_u64;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        ((state >> 33) as f32 / 2.0e9) - 1.0
-    };
-    let a = Matrix::from_vec(n, n, (0..n * n).map(|_| next()).collect());
-    let b = Matrix::from_vec(n, n, (0..n * n).map(|_| next()).collect());
-    (a, b)
-}
-
-/// Builds and interference-checks one real tape; pushes a failure if the
-/// arena plan has a liveness overlap. Returns `(context, steps, slots,
-/// checked_pairs, clean)` for the JSON artifact.
-fn interference_row(
-    g: &Graph,
-    outputs: &[Var],
-    inputs: &[Var],
-    context: &str,
-    failures: &mut Vec<String>,
-) -> (String, usize, usize, usize, bool) {
-    let plan = pace_tensor::opt::optimize(g, outputs, inputs, context);
-    match plan.check_interference() {
-        Ok(stats) => {
-            println!(
-                "race-report: [{context}] arena interference: CLEAN — {} slot-writing \
-                 steps over {} slots, {} adjacent pair(s) checked",
-                stats.steps, stats.slots, stats.checked_pairs
-            );
-            (
-                context.to_string(),
-                stats.steps,
-                stats.slots,
-                stats.checked_pairs,
-                true,
-            )
-        }
-        Err(violations) => {
-            for v in &violations {
-                failures.push(format!("[{context}] {v}"));
-            }
-            (context.to_string(), 0, 0, 0, false)
-        }
-    }
-}
-
-fn race_report() -> ExitCode {
-    use pace_tensor::pool;
-    use pool::flags::FlagMode;
-    use pool::race;
-
-    let root = workspace_root();
-    let mut failures: Vec<String> = Vec::new();
-
-    // Shared fixtures: the tape-report dataset/model recipe.
-    println!("race-report: building quick TPC-H dataset + labeled workload...");
-    let ds = build(DatasetKind::Tpch, Scale::quick(), 2);
-    let exec = Executor::new(&ds);
-    let mut rng = StdRng::seed_from_u64(42);
-    let queries = generate_queries(&ds, &WorkloadSpec::default(), &mut rng, 96);
-    let labeled = exec.label_nonzero(queries.clone());
-    let data = EncodedWorkload::from_workload(&QueryEncoder::new(&ds), &labeled);
-    let model = CeModel::new(CeModelType::Fcn, &ds, CeConfig::quick(), 6);
-
-    // (1) Static: the buffer-reuse plans of the real tapes must be free of
-    // arena-slot interference.
-    let mut interference_rows = Vec::new();
-    {
-        let mut g = Graph::new();
-        let bind = model.params().bind(&mut g);
-        let x = g.leaf(rows_to_matrix(&data.enc));
-        let out = model.forward(&mut g, &bind, x);
-        let loss = q_error_loss(&mut g, out, &data.ln_card, model.ln_max());
-        let grads = g.grad(loss, bind.vars());
-        let mut outputs = vec![loss];
-        outputs.extend(&grads);
-        interference_rows.push(interference_row(
-            &g,
-            &outputs,
-            bind.vars(),
-            "ce::train_step",
-            &mut failures,
-        ));
-    }
-    let half = data.enc.len() / 2;
-    let m = half.min(32);
-    for steps in [1usize, 4] {
-        let (g, outputs, inputs) = build_hypergradient_tape(
-            &model,
-            &data.enc[..m],
-            &data.ln_card[..m],
-            &data.enc[half..half + m],
-            &data.ln_card[half..half + m],
-            steps,
-            1e-2,
-        );
-        interference_rows.push(interference_row(
-            &g,
-            &outputs,
-            &inputs,
-            &format!("attack::hypergradient K={steps}"),
-            &mut failures,
-        ));
-    }
-
-    // (2) Fail-on-old-code witness, static: a seeded slot assignment where
-    // the second tenant moves in while the first is still live MUST be
-    // caught.
-    {
-        use pace_tensor::dataflow::{check_slot_interference, SlotStep};
-        let seeded = [
-            SlotStep {
-                step: 1,
-                slot: 0,
-                last_use: 3,
-            },
-            SlotStep {
-                step: 2,
-                slot: 0,
-                last_use: 4,
-            },
-        ];
-        match check_slot_interference(&seeded) {
-            Err(v) if v.len() == 1 && v[0].slot == 0 => {
-                println!("race-report: seeded arena overlap: CAUGHT ({})", v[0]);
-            }
-            Err(v) => failures.push(format!(
-                "seeded arena overlap mis-reported: {} violation(s)",
-                v.len()
-            )),
-            Ok(_) => failures.push(
-                "seeded arena overlap NOT caught — the static checker has lost its teeth".into(),
-            ),
-        }
-    }
-
-    // (3) Fail-on-old-code witness, dynamic: under PACE_RACE=strict a grid
-    // with a hole must panic with a typed write-set violation, and the
-    // clean kernels must stay silent.
-    race::RACE.set(FlagMode::Strict);
-    {
-        let caught = std::panic::catch_unwind(|| {
-            let mut buf = vec![0u8; 64];
-            let grid = [(0usize, 24usize), (40usize, 64usize)];
-            pool::for_each_split(&mut buf, &grid, |_, chunk| chunk.fill(1));
-        });
-        match caught {
-            Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .unwrap_or_default();
-                if msg.contains("write-set violation") && msg.contains("gap: [24, 40)") {
-                    println!("race-report: seeded dirty region: CAUGHT (gap [24, 40))");
-                } else {
-                    failures.push(format!(
-                        "dirty region panicked with the wrong report: {msg}"
-                    ));
-                }
-            }
-            Ok(()) => {
-                failures.push("seeded dirty region NOT caught under PACE_RACE=strict".to_string())
-            }
-        }
-    }
-    let (a, b) = lcg_matrices(160);
-    {
-        // Clean kernels under the armed checker: no false positives.
-        let clean = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool::set_threads(4);
-            let _ = a.matmul(&b);
-            let _ = exec.count_batch(&queries);
-        }));
-        if clean.is_err() {
-            failures.push("armed checker false-positived on clean kernels".to_string());
-        }
-    }
-    race::RACE.set(FlagMode::Off);
-
-    // (4) Schedule-fuzz matrix: kernels and a reduced demo campaign must be
-    // bit-identical across adversarial seeds × thread counts.
-    let work_dir = std::env::temp_dir().join(format!("pace-race-report-{}", std::process::id()));
-    if let Err(e) = std::fs::create_dir_all(&work_dir) {
-        eprintln!("race-report: cannot create {}: {e}", work_dir.display());
-        return ExitCode::FAILURE;
-    }
-    race::set_sched(None);
-    pool::set_threads(1);
-    let matmul_base = matrix_bits(&[a.matmul(&b)]);
-    let counts_base = exec.count_batch(&queries);
-    println!("race-report: baseline campaign digest (natural schedule, 1 thread)...");
-    let digest_base = match demo_campaign_digest(&ds, &work_dir, "base") {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("race-report: baseline campaign failed: {e}");
-            let _ = std::fs::remove_dir_all(&work_dir);
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("race-report: baseline fingerprint {digest_base:016x}");
-    let mut combos = 0usize;
-    for (si, &seed) in SCHED_SEEDS.iter().enumerate() {
-        for &threads in &SCHED_THREADS {
-            race::set_sched(Some(seed));
-            pool::set_threads(threads);
-            combos += 1;
-            if matrix_bits(&[a.matmul(&b)]) != matmul_base {
-                failures.push(format!(
-                    "matmul diverges under PACE_SCHED={seed} at {threads} threads"
-                ));
-            }
-            if exec.count_batch(&queries) != counts_base {
-                failures.push(format!(
-                    "count_batch diverges under PACE_SCHED={seed} at {threads} threads"
-                ));
-            }
-            match demo_campaign_digest(&ds, &work_dir, &format!("s{si}t{threads}")) {
-                Ok(d) if d == digest_base => {}
-                Ok(d) => failures.push(format!(
-                    "demo campaign diverges under PACE_SCHED={seed} at {threads} threads: \
-                     {d:016x} != {digest_base:016x}"
-                )),
-                Err(e) => failures.push(format!(
-                    "demo campaign failed under PACE_SCHED={seed} at {threads} threads: {e}"
-                )),
-            }
-        }
-        println!(
-            "race-report: seed {seed:#x}: kernels + campaign bit-identical at \
-             {SCHED_THREADS:?} threads"
-        );
-    }
-    race::set_sched(None);
-    let _ = std::fs::remove_dir_all(&work_dir);
-
-    // (5) Disarmed overhead: with PACE_RACE off, the per-region check is
-    // 1–2 relaxed loads — bounded both absolutely (vs a measured relaxed
-    // load) and relatively (≤ 1% of one matmul / count_batch fan-out).
-    pool::set_threads(4);
-    let (check_ns, load_ns) = {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static BASELINE: AtomicU64 = AtomicU64::new(7);
-        const N: u64 = 20_000_000;
-        for _ in 0..N / 20 {
-            std::hint::black_box(race::armed());
-        }
-        let t0 = Instant::now();
-        for _ in 0..N {
-            std::hint::black_box(race::armed());
-            std::hint::black_box(race::sched_seed());
-        }
-        let check_ns = t0.elapsed().as_secs_f64() * 1e9 / N as f64;
-        let t0 = Instant::now();
-        let mut acc = 0u64;
-        for _ in 0..N {
-            acc = acc.wrapping_add(std::hint::black_box(BASELINE.load(Ordering::Relaxed)));
-        }
-        std::hint::black_box(acc);
-        (check_ns, t0.elapsed().as_secs_f64() * 1e9 / N as f64)
-    };
-    let bench_ns = |f: &dyn Fn()| {
-        f(); // warm
-        let reps = 5;
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        t0.elapsed().as_secs_f64() * 1e9 / f64::from(reps)
-    };
-    let matmul_ns = bench_ns(&|| {
-        std::hint::black_box(a.matmul(&b));
-    });
-    let count_ns = bench_ns(&|| {
-        std::hint::black_box(exec.count_batch(&queries));
-    });
-    pool::set_threads(0);
-    let matmul_share = check_ns / matmul_ns;
-    let count_share = check_ns / count_ns;
-    println!(
-        "\nrace-report: disarmed check {check_ns:.2} ns/region (relaxed load \
-         {load_ns:.2} ns), matmul {:.0} us, count_batch {:.0} us — shares \
-         {:.5}% / {:.5}%",
-        matmul_ns / 1e3,
-        count_ns / 1e3,
-        matmul_share * 100.0,
-        count_share * 100.0
-    );
-    // The disarmed check is two-to-three relaxed loads plus branches;
-    // generous bound so CI noise cannot flake it. The product-level
-    // criterion is the ≤ 1% share gate below.
-    if check_ns > load_ns * 8.0 + 2.0 {
-        failures.push(format!(
-            "disarmed PACE_RACE check costs {check_ns:.2} ns — more than a few \
-             relaxed loads ({load_ns:.2} ns each)"
-        ));
-    }
-    if matmul_share > 0.01 || count_share > 0.01 {
-        failures.push(format!(
-            "disarmed PACE_RACE overhead exceeds 1% of a fan-out: matmul \
-             {:.3}%, count_batch {:.3}%",
-            matmul_share * 100.0,
-            count_share * 100.0
-        ));
-    }
-
-    // Machine-readable artifact for CI.
-    let mut s = String::from("{\n  \"interference\": [");
-    for (i, (ctx, steps, slots, pairs, clean)) in interference_rows.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n    {{\"context\": \"{ctx}\", \"steps\": {steps}, \"slots\": {slots}, \
-             \"checked_pairs\": {pairs}, \"clean\": {clean}}}"
-        ));
-    }
-    s.push_str(&format!(
-        "\n  ],\n  \"schedule_matrix\": {{\"seeds\": {SCHED_SEEDS:?}, \
-         \"threads\": {SCHED_THREADS:?}, \"combos\": {combos}, \
-         \"campaign_fingerprint\": \"{digest_base:016x}\"}},\n"
-    ));
-    s.push_str(&format!(
-        "  \"disarmed_overhead\": {{\"check_ns\": {check_ns:.4}, \
-         \"relaxed_load_ns\": {load_ns:.4}, \"matmul_ns\": {matmul_ns:.0}, \
-         \"count_batch_ns\": {count_ns:.0}, \"matmul_share\": {matmul_share:.6}, \
-         \"count_share\": {count_share:.6}}},\n"
-    ));
-    s.push_str(&format!("  \"failures\": {}\n}}\n", failures.len()));
-    let json_path = root.join("BENCH_race.json");
-    if let Err(e) = std::fs::write(&json_path, s) {
-        eprintln!("race-report: cannot write {}: {e}", json_path.display());
-        return ExitCode::FAILURE;
-    }
-    println!("race-report: wrote {}", json_path.display());
-
-    if failures.is_empty() {
-        println!(
-            "xtask race-report: OK — {} tape(s) interference-free, seeded overlaps \
-             caught, {combos} schedule combos bit-identical",
-            interference_rows.len()
-        );
-        ExitCode::SUCCESS
-    } else {
-        for f in &failures {
-            eprintln!("xtask race-report: {f}");
-        }
-        eprintln!("xtask race-report: {} failure(s)", failures.len());
         ExitCode::FAILURE
     }
 }
