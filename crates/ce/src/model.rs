@@ -753,9 +753,6 @@ impl CeModel {
         pace_tensor::analysis::audit_if_enabled(&g, loss, bind.vars(), "ce::step_adam");
         let value = g.value(loss).as_scalar();
         let grad_vars = g.grad(loss, bind.vars());
-        let mut opt_outputs = vec![loss];
-        opt_outputs.extend(&grad_vars);
-        pace_tensor::opt::optimize_if_enabled(&g, &opt_outputs, bind.vars(), "ce::step_adam");
         let mut grads: Vec<Matrix> = grad_vars.iter().map(|&v| g.value(v).clone()).collect();
         sanitize(&mut grads);
         clip_global_norm(&mut grads, self.config.clip_norm);
@@ -873,9 +870,6 @@ impl CeModel {
                     break;
                 }
                 let grad_vars = g.grad(loss, bind.vars());
-                let mut opt_outputs = vec![loss];
-                opt_outputs.extend(&grad_vars);
-                pace_tensor::opt::optimize_if_enabled(&g, &opt_outputs, bind.vars(), "ce::update");
                 let mut grads: Vec<Matrix> =
                     grad_vars.iter().map(|&v| g.value(v).clone()).collect();
                 sanitize(&mut grads);

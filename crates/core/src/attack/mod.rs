@@ -227,7 +227,7 @@ pub(crate) fn poisoning_objective(
 /// tooling consumes ([`pace_tensor::opt::optimize`],
 /// [`pace_tensor::dataflow`]): `outputs` is `[objective, ∂objective/∂x]`,
 /// `inputs` is the poisoning-batch leaf followed by the `θ₀` parameter
-/// leaves. Used by `xtask tape-report`, the `tape_opt` benchmark, and the
+/// leaves. Used by `xtask tape-report`, perfbench's tensor probe, and the
 /// node-reduction acceptance test.
 pub fn build_hypergradient_tape(
     model: &CeModel,

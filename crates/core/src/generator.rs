@@ -283,15 +283,11 @@ impl PoisonGenerator {
     }
 
     /// Applies one Adam step from a scalar loss (used by the attack loops for
-    /// the poisoning and detector-confrontation objectives). `context` labels
-    /// the tape for the `PACE_OPT` pipeline ([`pace_tensor::opt`]); the
-    /// gradient built here is the attack hypergradient, so this is where the
-    /// optimizer sees the full unrolled graph.
+    /// the poisoning and detector-confrontation objectives). `context` names
+    /// the attack loop; it is the [`fault::poison_grads`] site, so fault
+    /// specs can target one loop.
     pub fn apply_step(&mut self, g: &mut Graph, loss: Var, bind: &Binding, context: &str) {
         let grad_vars = g.grad(loss, bind.vars());
-        let mut opt_outputs = vec![loss];
-        opt_outputs.extend(&grad_vars);
-        pace_tensor::opt::optimize_if_enabled(g, &opt_outputs, bind.vars(), context);
         let mut grads: Vec<Matrix> = grad_vars.iter().map(|&v| g.value(v).clone()).collect();
         sanitize(&mut grads);
         clip_global_norm(&mut grads, self.config.clip_norm);

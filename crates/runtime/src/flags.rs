@@ -1,13 +1,12 @@
 //! The shared environment-flag grammar for every `PACE_*` runtime switch.
 //!
 //! All instrumentation switches in the workspace — the tape auditor
-//! (`PACE_AUDIT`), the optimizing pipeline (`PACE_OPT`), and the snapshot
-//! finiteness gate (`PACE_FINITE`) — parse one grammar:
+//! (`PACE_AUDIT`) and the snapshot finiteness gate (`PACE_FINITE`) — parse
+//! one grammar:
 //!
 //! * `0` (or unset, or anything unrecognized) — off;
 //! * `1` / `true` / `on` — enabled: findings are *reported* (a dirty audit
-//!   or a pass-verification mismatch prints to stderr, execution
-//!   continues);
+//!   prints to stderr, execution continues);
 //! * `strict` — enabled, and findings are *fatal*: the check panics at its
 //!   choke point, so CI and experiment runs cannot silently proceed on a
 //!   corrupted tape.

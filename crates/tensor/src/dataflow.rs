@@ -3,19 +3,16 @@
 //! The tape ([`crate::Graph`]) is a pure, append-only SSA program: every node
 //! is defined exactly once, operands always precede consumers, and node
 //! indices double as topological order. That makes the classic compiler
-//! analyses almost free, and this module computes the four the optimizing
+//! analyses almost free, and this module computes the ones the optimizing
 //! pass pipeline ([`crate::opt`]) is built on:
 //!
-//! * **Use-def chains** ([`use_def`]) — for every node, the operands it reads
-//!   (defs it uses) and the consumers that read it (its uses);
 //! * **Liveness** ([`liveness`]) — reverse-topological live intervals: the
 //!   tape position at which each value dies, plus the peak number of bytes
 //!   simultaneously live under an alloc-at-def / free-at-last-use discipline
 //!   (the memory high-water mark a buffer-reusing executor can reach);
-//! * **Available expressions** ([`available_expr_sources`]) — structural
-//!   hashing of `(op, operands, scalar/size payloads)` ([`ExprKey`]) that
-//!   maps every node to the earliest node computing the same value, the
-//!   substrate of common-subexpression elimination;
+//! * **Structural expression keys** ([`ExprKey`]) — hashing of `(op,
+//!   operands, scalar/size payloads)` so that equal keys compute equal
+//!   values, the substrate of common-subexpression elimination;
 //! * **Static cost model** ([`node_cost`], [`tape_cost`]) — estimated FLOPs
 //!   and output bytes per node from operand shapes alone.
 //!
@@ -24,40 +21,6 @@
 use crate::grad::op_inputs;
 use crate::graph::{Graph, Op, Var};
 use std::collections::HashMap;
-
-/// The operands every node reads and the consumers that read it.
-#[derive(Clone, Debug, Default)]
-pub struct UseDef {
-    /// `operands[i]` — tape indices node `i` reads (its use of earlier defs).
-    pub operands: Vec<Vec<usize>>,
-    /// `uses[i]` — tape indices of the nodes that read node `i`.
-    pub uses: Vec<Vec<usize>>,
-}
-
-/// Builds use-def chains for the whole tape in one forward pass.
-pub fn use_def(g: &Graph) -> UseDef {
-    let n = g.len();
-    let mut ud = UseDef {
-        operands: Vec::with_capacity(n),
-        uses: vec![Vec::new(); n],
-    };
-    for i in 0..n {
-        let ops: Vec<usize> = op_inputs(g.op(Var::from_index(i)))
-            .iter()
-            .map(|v| v.index())
-            .collect();
-        for &o in &ops {
-            ud.uses[o].push(i);
-        }
-        ud.operands.push(ops);
-    }
-    ud
-}
-
-/// Public view of a node's operand list (the tape edges), by index.
-pub fn operands(g: &Graph, v: Var) -> Vec<Var> {
-    op_inputs(g.op(v))
-}
 
 /// Live intervals of every tape value relative to a set of root outputs.
 #[derive(Clone, Debug)]
@@ -137,7 +100,7 @@ fn value_bytes(g: &Graph, v: Var) -> usize {
     r * c * size_of::<f32>()
 }
 
-// ---- available expressions -------------------------------------------------
+// ---- structural expression keys --------------------------------------------
 
 /// Structural identity of a non-leaf node: op kind, canonical operand ids,
 /// and every scalar/size payload the op carries. Two nodes with equal keys
@@ -151,14 +114,14 @@ pub struct ExprKey {
     sizes: Vec<usize>,
 }
 
-/// Builds the structural key of a non-leaf op, remapping each operand index
-/// through `remap` (identity for plain availability, the canonicalization
-/// map inside CSE). Returns `None` for [`Op::Leaf`] — leaf identity is the
-/// stored *value*, not structure, and is interned separately by the passes.
-pub(crate) fn expr_key_with(op: &Op, remap: &mut dyn FnMut(usize) -> usize) -> Option<ExprKey> {
+/// Builds the structural key of a non-leaf op over its operand indices as
+/// they stand (CSE keys ops already remapped onto canonical plan nodes).
+/// Returns `None` for [`Op::Leaf`] — leaf identity is the stored *value*,
+/// not structure, and is interned separately by the passes.
+pub(crate) fn expr_key(op: &Op) -> Option<ExprKey> {
     let mut key = ExprKey {
         name: op.name(),
-        operands: op_inputs(op).iter().map(|v| remap(v.index())).collect(),
+        operands: op_inputs(op).iter().map(|v| v.index()).collect(),
         scalars: Vec::new(),
         sizes: Vec::new(),
     };
@@ -201,40 +164,6 @@ pub(crate) fn expr_key_with(op: &Op, remap: &mut dyn FnMut(usize) -> usize) -> O
         Op::SliceCols(_, s, e) | Op::SliceRows(_, s, e) => key.sizes.extend([s, e]),
     }
     Some(key)
-}
-
-/// For every node, the earliest tape index computing a structurally identical
-/// expression (`source[i] == i` when node `i` is the first of its kind).
-/// Designated `inputs` and leaves are their own sources; equal-valued leaves
-/// are *not* merged here — value interning is a pass decision, not an
-/// analysis fact.
-pub fn available_expr_sources(g: &Graph, inputs: &[Var]) -> Vec<usize> {
-    let is_input: Vec<bool> = {
-        let mut m = vec![false; g.len()];
-        for v in inputs {
-            if v.index() < g.len() {
-                m[v.index()] = true;
-            }
-        }
-        m
-    };
-    let mut source: Vec<usize> = (0..g.len()).collect();
-    let mut table: HashMap<ExprKey, usize> = HashMap::new();
-    for i in 0..g.len() {
-        if is_input[i] {
-            continue;
-        }
-        let mut remap = |j: usize| source[j];
-        if let Some(key) = expr_key_with(g.op(Var::from_index(i)), &mut remap) {
-            match table.get(&key) {
-                Some(&first) => source[i] = first,
-                None => {
-                    table.insert(key, i);
-                }
-            }
-        }
-    }
-    source
 }
 
 // ---- static cost model ------------------------------------------------------
@@ -425,17 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn use_def_chains_match_structure() {
-        let (g, x, w, h, out) = small_graph();
-        let ud = use_def(&g);
-        assert_eq!(ud.operands[h.index()], vec![x.index(), w.index()]);
-        assert_eq!(ud.uses[x.index()], vec![h.index()]);
-        assert_eq!(ud.uses[h.index()], vec![h.index() + 1]);
-        assert!(ud.uses[out.index()].is_empty());
-        assert_eq!(operands(&g, h), vec![x, w]);
-    }
-
-    #[test]
     fn liveness_intervals_and_peak() {
         let (g, x, _w, h, out) = small_graph();
         let live = liveness(&g, &[out]);
@@ -459,47 +377,6 @@ mod tests {
         let live = liveness(&g, &[out]);
         assert!(!live.reachable[dead.index()]);
         assert!(live.reachable[y.index()]);
-    }
-
-    #[test]
-    fn available_sources_find_duplicates() {
-        let mut g = Graph::new();
-        let x = g.leaf(Matrix::row(&[1.0, 2.0]));
-        let a = g.sigmoid(x);
-        let b = g.sigmoid(x); // structurally identical
-        let c = g.add(a, b);
-        let src = available_expr_sources(&g, &[x]);
-        assert_eq!(src[b.index()], a.index());
-        assert_eq!(src[a.index()], a.index());
-        assert_eq!(src[c.index()], c.index());
-    }
-
-    #[test]
-    fn available_sources_chase_through_chains() {
-        // Duplicated two-op chains canonicalize bottom-up: the second chain's
-        // tail maps to the first chain's tail.
-        let mut g = Graph::new();
-        let x = g.leaf(Matrix::row(&[0.5, 1.5]));
-        let a1 = g.exp(x);
-        let b1 = g.mul_scalar(a1, 2.0);
-        let a2 = g.exp(x);
-        let b2 = g.mul_scalar(a2, 2.0);
-        let different = g.mul_scalar(a2, 3.0);
-        let src = available_expr_sources(&g, &[x]);
-        assert_eq!(src[a2.index()], a1.index());
-        assert_eq!(src[b2.index()], b1.index());
-        assert_eq!(src[different.index()], different.index());
-    }
-
-    #[test]
-    fn scalar_payload_distinguishes_expressions() {
-        let mut g = Graph::new();
-        let x = g.leaf(Matrix::row(&[1.0]));
-        let a = g.add_scalar(x, 1.0);
-        let b = g.add_scalar(x, 2.0);
-        let src = available_expr_sources(&g, &[x]);
-        assert_eq!(src[a.index()], a.index());
-        assert_eq!(src[b.index()], b.index());
     }
 
     fn slot(step: usize, slot: usize, last_use: usize) -> SlotStep {

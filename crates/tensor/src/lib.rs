@@ -16,10 +16,11 @@
 //! * [`check`] — finite-difference gradient checkers used by test suites;
 //! * [`analysis`] — the tape auditor (`PACE_AUDIT`): shape inference,
 //!   numerical-hazard scan, zero-gradient detection, double-backward closure;
-//! * [`dataflow`] / [`opt`] — compiler-style static analyses (use-def,
-//!   liveness, available expressions, cost model) and the verified
-//!   optimizing pass pipeline (`PACE_OPT`): constant folding, CSE, dead-node
-//!   elimination, liveness-driven buffer reuse, replay verification;
+//! * [`dataflow`] / [`opt`] — compiler-style static analyses (liveness,
+//!   structural expression keys, cost model, arena-slot interference) and
+//!   the offline tape compiler behind `xtask tape-report` and perfbench's
+//!   tensor probe: constant folding, CSE, dead-node elimination,
+//!   liveness-driven buffer reuse, replay verification;
 //! * [`flags`] — the shared `0/1/strict` environment-flag grammar;
 //! * [`fault`] — deterministic, seeded fault injection (`PACE_FAULTS`) for
 //!   chaos-testing the campaign runtime's recovery paths;

@@ -25,53 +25,18 @@
 //!
 //! Soundness is *checked, not assumed*: [`TapePlan::verify`] replays the
 //! plan and compares every requested output against the value eager
-//! execution recorded. [`optimize_if_enabled`] — the `PACE_OPT` choke-point
-//! hook mirroring `PACE_AUDIT` — verifies on every call, reports mismatches
-//! to stderr, and panics under `PACE_OPT=strict`.
+//! execution recorded.
+//!
+//! No training path runs a plan: eager execution already produced every
+//! value. The compiler is an offline tool — `xtask tape-report` optimizes and
+//! verifies the real tape shapes, and perfbench's tensor probe times a
+//! profiled replay of the hypergradient.
 
-use crate::dataflow::{self, expr_key_with, ExprKey};
+use crate::dataflow::{self, expr_key, ExprKey};
 use crate::grad::op_inputs;
 use crate::graph::{Graph, Op, Var};
 use crate::matrix::Matrix;
 use std::collections::HashMap;
-
-/// Which passes [`optimize_with`] runs. [`OptConfig::default`] enables all
-/// of them; [`OptConfig::baseline`] disables all of them, yielding a plan
-/// that replays the reachable tape verbatim (the benchmark control).
-#[derive(Clone, Copy, Debug)]
-pub struct OptConfig {
-    /// Materialize input-independent subgraphs as constants.
-    pub fold: bool,
-    /// Merge structurally identical expressions and equal constants.
-    pub cse: bool,
-    /// Drop nodes the outputs do not depend on.
-    pub dce: bool,
-    /// Recycle arena buffers the moment their value dies.
-    pub reuse_buffers: bool,
-}
-
-impl Default for OptConfig {
-    fn default() -> Self {
-        Self {
-            fold: true,
-            cse: true,
-            dce: true,
-            reuse_buffers: true,
-        }
-    }
-}
-
-impl OptConfig {
-    /// All passes off: the identity plan over the full tape.
-    pub fn baseline() -> Self {
-        Self {
-            fold: false,
-            cse: false,
-            dce: false,
-            reuse_buffers: false,
-        }
-    }
-}
 
 /// What one plan node is.
 enum PlanKind {
@@ -219,14 +184,6 @@ impl Arena {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Total bytes currently held by arena buffers.
-    pub fn bytes(&self) -> usize {
-        self.buffers
-            .iter()
-            .map(|b| b.len() * size_of::<f32>())
-            .sum()
-    }
 }
 
 /// A compiled, replayable form of (part of) a tape: the optimized program
@@ -248,16 +205,6 @@ impl TapePlan {
         &self.stats
     }
 
-    /// Number of plan nodes (constants + steps).
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when the plan holds no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// Number of requested outputs.
     pub fn num_outputs(&self) -> usize {
         self.outputs.len()
@@ -269,8 +216,7 @@ impl TapePlan {
     /// is the static half of the concurrency-safety story: it guarantees
     /// that [`TapePlan::replay`]'s take-out-the-destination write borrow can
     /// never alias a live operand, for any chunk grid the step's internal
-    /// fan-out may choose. `xtask tape-report` runs it over the real tapes;
-    /// [`optimize_if_enabled`] runs it at the `PACE_OPT` choke point.
+    /// fan-out may choose. `xtask tape-report` runs it over the real tapes.
     ///
     /// # Errors
     /// Returns every colliding slot pair when the assignment is dirty.
@@ -429,7 +375,8 @@ impl TapePlan {
 
     /// Replays the plan and compares every output against the value the
     /// eager execution recorded on `g`, within absolute-relative tolerance
-    /// `tol`. This is the soundness harness every enabled choke point runs.
+    /// `tol` (see [`VERIFY_TOL`]). This is the soundness harness
+    /// `xtask tape-report` and the acceptance tests run.
     ///
     /// # Errors
     /// Returns a description of the first mismatching output element.
@@ -655,26 +602,18 @@ fn close(a: f32, b: f32, tol: f32) -> bool {
 
 // ---- the pipeline -----------------------------------------------------------
 
-/// Runs the full pipeline (fold + CSE + DCE + buffer reuse) — see
-/// [`optimize_with`].
-pub fn optimize(g: &Graph, outputs: &[Var], inputs: &[Var], context: &str) -> TapePlan {
-    optimize_with(g, outputs, inputs, context, OptConfig::default())
-}
+/// Tolerance [`TapePlan::verify`] callers check optimized replay within.
+pub const VERIFY_TOL: f32 = 1e-5;
 
-/// Compiles the sub-tape that computes `outputs` into a [`TapePlan`].
+/// Compiles the sub-tape that computes `outputs` into a [`TapePlan`],
+/// running the full pipeline: fold, CSE, DCE and buffer reuse.
 ///
 /// `inputs` are the nodes the caller considers *variable* (parameters, the
 /// poisoning batch): they and everything downstream of them stay executable
 /// steps; everything else is constant-foldable. Replay reproduces the
 /// recorded execution — it is a re-execution of the same values, cheaper by
 /// whatever the passes removed, not an evaluation at new inputs.
-pub fn optimize_with(
-    g: &Graph,
-    outputs: &[Var],
-    inputs: &[Var],
-    context: &str,
-    cfg: OptConfig,
-) -> TapePlan {
+pub fn optimize(g: &Graph, outputs: &[Var], inputs: &[Var], context: &str) -> TapePlan {
     let n = g.len();
     let mut is_input = vec![false; n];
     for v in inputs {
@@ -685,11 +624,6 @@ pub fn optimize_with(
 
     // Reachability (the DCE frontier) and the pre-pass measurements.
     let live = dataflow::liveness(g, outputs);
-    let reachable: Vec<bool> = if cfg.dce {
-        live.reachable.clone()
-    } else {
-        vec![true; n]
-    };
     let reachable_count = live.reachable.iter().filter(|&&r| r).count();
     let mut histogram: HashMap<&'static str, usize> = HashMap::new();
     let cost_before = dataflow::tape_cost(g, outputs);
@@ -718,23 +652,22 @@ pub fn optimize_with(
     let mut cse_merged = 0usize;
 
     for i in 0..n {
-        if !reachable[i] {
+        if !live.reachable[i] {
             continue;
         }
         let var = Var::from_index(i);
         let op = g.op(var);
         let is_leaf = matches!(op, Op::Leaf);
-        varying[i] = is_input[i]
-            || (!is_leaf && (!cfg.fold || op_inputs(op).iter().any(|x| varying[x.index()])));
+        varying[i] = is_input[i] || (!is_leaf && op_inputs(op).iter().any(|x| varying[x.index()]));
 
-        if is_leaf || (!varying[i] && cfg.fold) {
+        if is_leaf || !varying[i] {
             // Constant: a leaf (inputs included — replay re-executes the
             // recorded values), or a foldable input-independent subgraph.
             if !is_leaf {
                 folded += 1;
             }
             let value = g.value(var).clone();
-            if cfg.cse && !is_input[i] {
+            if !is_input[i] {
                 let key = (
                     value.rows(),
                     value.cols(),
@@ -759,16 +692,13 @@ pub fn optimize_with(
 
         // Executable step: remap operands, then hash-cons.
         let remapped = remap_op(op, &canon);
-        if cfg.cse {
-            let mut identity = |j: usize| j;
-            if let Some(key) = expr_key_with(&remapped, &mut identity) {
-                if let Some(&existing) = expr_table.get(&key) {
-                    cse_merged += 1;
-                    canon[i] = existing;
-                    continue;
-                }
-                expr_table.insert(key, vnodes.len());
+        if let Some(key) = expr_key(&remapped) {
+            if let Some(&existing) = expr_table.get(&key) {
+                cse_merged += 1;
+                canon[i] = existing;
+                continue;
             }
+            expr_table.insert(key, vnodes.len());
         }
         canon[i] = vnodes.len();
         vnodes.push((VKind::Step(remapped), g.shape(var), i));
@@ -790,9 +720,6 @@ pub fn optimize_with(
                 }
             }
         }
-    }
-    if !cfg.dce {
-        v_keep.iter_mut().for_each(|k| *k = true);
     }
 
     // Compact into the final plan, remapping operands once more.
@@ -843,12 +770,7 @@ pub fn optimize_with(
     for j in 0..nodes.len() {
         let shape = nodes[j].shape;
         if !matches!(nodes[j].kind, PlanKind::Const(_)) {
-            let slot = if cfg.reuse_buffers {
-                free.get_mut(&shape).and_then(Vec::pop)
-            } else {
-                None
-            };
-            let slot = slot.unwrap_or_else(|| {
+            let slot = free.get_mut(&shape).and_then(Vec::pop).unwrap_or_else(|| {
                 buffer_shapes.push(shape);
                 buffer_shapes.len() - 1
             });
@@ -953,87 +875,6 @@ fn remap_op(op: &Op, map: &[usize]) -> Op {
     }
 }
 
-// ---- the PACE_OPT choke-point hook -----------------------------------------
-
-/// True when the optimizing pipeline is enabled (`PACE_OPT`, shared
-/// `0/1/strict` grammar — see [`crate::flags`]).
-pub fn opt_enabled() -> bool {
-    crate::flags::OPT.enabled()
-}
-
-/// Forces the pipeline on or off for this process, overriding `PACE_OPT`.
-pub fn set_opt_enabled(enabled: bool) {
-    crate::flags::OPT.set(if enabled {
-        crate::flags::FlagMode::On
-    } else {
-        crate::flags::FlagMode::Off
-    });
-}
-
-/// Tolerance the choke-point hook verifies optimized replay within.
-pub const VERIFY_TOL: f32 = 1e-5;
-
-/// Runs the pipeline and its soundness check when `PACE_OPT` is enabled —
-/// the choke-point hook mirroring [`crate::analysis::audit_if_enabled`].
-/// Free when disabled. A verification mismatch prints to stderr (and panics
-/// under `PACE_OPT=strict`); the first optimization per context prints a
-/// one-line summary so an ignored flag is distinguishable from silence.
-pub fn optimize_if_enabled(
-    g: &Graph,
-    outputs: &[Var],
-    inputs: &[Var],
-    context: &str,
-) -> Option<OptStats> {
-    if !opt_enabled() {
-        return None;
-    }
-    let plan = optimize(g, outputs, inputs, context);
-    if let Err(violations) = plan.check_interference() {
-        let rendered: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
-        assert!(
-            !crate::flags::OPT.strict(),
-            "PACE_OPT=strict: arena interference in {context}: {}",
-            rendered.join("; ")
-        );
-        eprintln!(
-            "tape opt [{context}]: ARENA INTERFERENCE ({} pair(s)): {}",
-            rendered.len(),
-            rendered.join("; ")
-        );
-    }
-    if let Err(msg) = plan.verify(g, VERIFY_TOL) {
-        assert!(
-            !crate::flags::OPT.strict(),
-            "PACE_OPT=strict: optimized replay diverged in {context}: {msg}\n{}",
-            plan.stats().render()
-        );
-        eprintln!("tape opt [{context}]: VERIFICATION MISMATCH: {msg}");
-        eprintln!("{}", plan.stats().render());
-        return Some(plan.stats().clone());
-    }
-    static SEEN: std::sync::Mutex<Option<Vec<String>>> = std::sync::Mutex::new(None);
-    let mut seen = SEEN
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let seen = seen.get_or_insert_with(Vec::new);
-    if !seen.iter().any(|c| c == context) {
-        seen.push(context.to_string());
-        let s = plan.stats();
-        eprintln!(
-            "tape opt [{context}]: verified — {} -> {} nodes (-{:.1}%), {} steps, \
-             fold {} cse {} dce {} (first of many; further clean runs in this context are silent)",
-            s.nodes_before,
-            s.nodes_after,
-            s.node_reduction_pct(),
-            s.steps_after,
-            s.folded,
-            s.cse_merged,
-            s.dead_removed,
-        );
-    }
-    Some(plan.stats().clone())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1070,6 +911,36 @@ mod tests {
         let out = g.sum_all(y);
         let plan = optimize(&g, &[out], &[x], "test::cse");
         assert!(plan.stats().cse_merged >= 1, "{:?}", plan.stats());
+        plan.verify(&g, VERIFY_TOL).expect("replay parity");
+
+        // Duplicated two-op chains canonicalize bottom-up: the second
+        // chain's `exp` merges, and then so does its `mul_scalar` tail.
+        let mut g = Graph::new();
+        let x = g.leaf(Matrix::row(&[0.5, 1.5]));
+        let a1 = g.exp(x);
+        let b1 = g.mul_scalar(a1, 2.0);
+        let a2 = g.exp(x);
+        let b2 = g.mul_scalar(a2, 2.0);
+        let y = g.add(b1, b2);
+        let out = g.sum_all(y);
+        let plan = optimize(&g, &[out], &[x], "test::cse_chain");
+        assert_eq!(plan.stats().cse_merged, 2, "{:?}", plan.stats());
+        plan.verify(&g, VERIFY_TOL).expect("replay parity");
+
+        // Scalar payloads are part of the key: `* 2.0` vs `* 3.0` and
+        // `+ 1.0` vs `+ 2.0` over the same operand never merge.
+        let mut g = Graph::new();
+        let x = g.leaf(Matrix::row(&[0.5, 1.5]));
+        let m2 = g.mul_scalar(x, 2.0);
+        let m3 = g.mul_scalar(x, 3.0);
+        let p1 = g.add_scalar(x, 1.0);
+        let p2 = g.add_scalar(x, 2.0);
+        let m = g.add(m2, m3);
+        let p = g.add(p1, p2);
+        let y = g.add(m, p);
+        let out = g.sum_all(y);
+        let plan = optimize(&g, &[out], &[x], "test::cse_payload");
+        assert_eq!(plan.stats().cse_merged, 0, "{:?}", plan.stats());
         plan.verify(&g, VERIFY_TOL).expect("replay parity");
     }
 
@@ -1218,22 +1089,6 @@ mod tests {
     }
 
     #[test]
-    fn baseline_config_is_identity() {
-        let mut g = Graph::new();
-        let x = g.leaf(Matrix::row(&[1.0, 2.0]));
-        let _dead = g.exp(x);
-        let a = g.sigmoid(x);
-        let b = g.sigmoid(x);
-        let y = g.add(a, b);
-        let out = g.sum_all(y);
-        let plan = optimize_with(&g, &[out], &[x], "test::baseline", OptConfig::baseline());
-        assert_eq!(plan.stats().nodes_after, g.len());
-        assert_eq!(plan.stats().cse_merged, 0);
-        assert_eq!(plan.stats().folded, 0);
-        plan.verify(&g, VERIFY_TOL).expect("replay parity");
-    }
-
-    #[test]
     fn replay_covers_whole_op_vocabulary() {
         // The same all-ops graph the auditor's closure test uses: every op
         // kind must round-trip through the interpreter bit-exactly.
@@ -1329,19 +1184,5 @@ mod tests {
         }
         let profiled_flops: u64 = rows.iter().map(|r| r.flops).sum();
         assert_eq!(profiled_flops, plan.stats().flops_after);
-    }
-
-    #[test]
-    fn opt_toggle_controls_hook() {
-        set_opt_enabled(false);
-        let mut g = Graph::new();
-        let x = g.leaf(Matrix::row(&[1.0, 2.0]));
-        let y = g.mul(x, x);
-        let out = g.sum_all(y);
-        assert!(optimize_if_enabled(&g, &[out], &[x], "test::hook_off").is_none());
-        set_opt_enabled(true);
-        let stats = optimize_if_enabled(&g, &[out], &[x], "test::hook_on").expect("enabled");
-        assert_eq!(stats.context, "test::hook_on");
-        set_opt_enabled(false);
     }
 }

@@ -82,9 +82,9 @@
 //!
 //! # `tape-report` — static statistics of the real tapes
 //!
-//! Builds each tape the `PACE_OPT` choke points see — a CE training step, a
-//! surrogate imitation step, and the attack hypergradient at `K = 1` and
-//! `K = 4` unrolled virtual updates — runs the full pass pipeline
+//! Builds each real tape shape the training loops record — a CE training
+//! step, a surrogate imitation step, and the attack hypergradient at `K = 1`
+//! and `K = 4` unrolled virtual updates — runs the full pass pipeline
 //! ([`pace_tensor::opt`]), verifies the optimized replay against eager
 //! execution, and prints the per-context report: node/FLOP/peak-live-byte
 //! counts before and after, per-pass removal counts, and the op histogram.
