@@ -11,46 +11,85 @@
 //!   its join key;
 //! * the query cardinality is the weight sum at the root.
 //!
-//! One query costs `O(Σ pattern table rows)` — no materialization, exact
-//! counts. This implements both the attacker's `COUNT(*)` oracle and the true
-//! intermediate-size oracle of the execution simulator.
+//! Join values never change after [`Executor::new`], so it hashes them once:
+//! each join edge gets a dense dictionary over the union of both endpoints'
+//! values, and every row stores its value's group id. A query then costs
+//! `O(Σ pattern table rows)` array reads with no hashing — no
+//! materialization, exact counts. This implements both the attacker's
+//! `COUNT(*)` oracle and the true intermediate-size oracle of the execution
+//! simulator.
 
-use pace_data::Dataset;
+use pace_data::{Dataset, JoinEdge};
 use pace_runtime as pool;
 use pace_workload::{LabeledQuery, Query, Workload};
 use std::collections::HashMap;
 
-/// Exact-count executor over one dataset.
+/// One join edge's values, dictionary-encoded. Side 0 is the edge's `left`
+/// endpoint, side 1 its `right`.
+struct EdgeCodes {
+    /// Group id of every row of each side's table.
+    codes: [Vec<u32>; 2],
+    /// Number of distinct join values over both sides.
+    groups: usize,
+    /// Unfiltered per-group row counts of each side, accumulated in row
+    /// order.
+    counts: [Vec<f64>; 2],
+}
+
+impl EdgeCodes {
+    fn new(ds: &Dataset, edge: JoinEdge) -> Self {
+        let mut dict: HashMap<i64, u32> = HashMap::new();
+        let codes = [edge.left, edge.right].map(|(table, col)| {
+            ds.tables[table]
+                .col(col)
+                .iter()
+                .map(|&v| {
+                    let next = u32::try_from(dict.len()).expect("join edge has < 2^32 groups");
+                    *dict.entry(v).or_insert(next)
+                })
+                .collect::<Vec<u32>>()
+        });
+        let groups = dict.len();
+        let counts = codes.each_ref().map(|side| {
+            let mut n = vec![0.0f64; groups];
+            for &g in side {
+                n[g as usize] += 1.0;
+            }
+            n
+        });
+        Self {
+            codes,
+            groups,
+            counts,
+        }
+    }
+}
+
+/// Exact-count executor over one dataset. Construction dictionary-encodes
+/// every join edge; a count is then `O(Σ pattern table rows)` dense array
+/// reads and writes, with no hashing.
 pub struct Executor<'a> {
     ds: &'a Dataset,
     adj: Vec<Vec<(usize, usize)>>,
-    /// Unfiltered per-value row counts for every join-edge endpoint
-    /// `(table, column)`, accumulated in row order. Shared by every query in
-    /// a batch: a semi-join fold whose child has no predicates and no further
-    /// pattern children reads these sums instead of rescanning the child.
-    edge_sums: HashMap<(usize, usize), HashMap<i64, f64>>,
+    /// Per schema edge (same index as `ds.schema.edges`): group ids of both
+    /// sides and their unfiltered per-group row counts. Shared read-only by
+    /// every query in a batch.
+    edges: Vec<EdgeCodes>,
 }
 
 impl<'a> Executor<'a> {
-    /// Creates an executor (precomputes join-graph adjacency and the
-    /// unfiltered group-by sums of every join-edge endpoint).
+    /// Creates an executor (precomputes join-graph adjacency and a dense
+    /// dictionary encoding of every join edge's values).
     pub fn new(ds: &'a Dataset) -> Self {
-        let mut edge_sums: HashMap<(usize, usize), HashMap<i64, f64>> = HashMap::new();
-        for edge in &ds.schema.edges {
-            for (table, col) in [edge.left, edge.right] {
-                edge_sums.entry((table, col)).or_insert_with(|| {
-                    let mut sums: HashMap<i64, f64> = HashMap::new();
-                    for &v in ds.tables[table].col(col) {
-                        *sums.entry(v).or_insert(0.0) += 1.0;
-                    }
-                    sums
-                });
-            }
-        }
         Self {
             ds,
             adj: ds.schema.adjacency(),
-            edge_sums,
+            edges: ds
+                .schema
+                .edges
+                .iter()
+                .map(|&edge| EdgeCodes::new(ds, edge))
+                .collect(),
         }
     }
 
@@ -66,7 +105,7 @@ impl<'a> Executor<'a> {
     /// queries should be filtered before execution).
     pub fn count(&self, q: &Query) -> u64 {
         assert!(
-            self.ds.schema.is_connected(&q.tables),
+            self.is_connected(&q.tables),
             "count over a disconnected pattern {:?}",
             q.tables
         );
@@ -75,50 +114,71 @@ impl<'a> Executor<'a> {
         w.iter().sum::<f64>().round() as u64
     }
 
+    /// [`pace_data::Schema::is_connected`] over the cached adjacency.
+    fn is_connected(&self, tables: &[usize]) -> bool {
+        let Some(&first) = tables.first() else {
+            return false;
+        };
+        let mut seen = vec![false; self.adj.len()];
+        seen[first] = true;
+        let mut stack = vec![first];
+        let mut reached = 1;
+        while let Some(t) = stack.pop() {
+            for &(n, _) in &self.adj[t] {
+                if !seen[n] && tables.contains(&n) {
+                    seen[n] = true;
+                    reached += 1;
+                    stack.push(n);
+                }
+            }
+        }
+        reached == tables.len()
+    }
+
     /// Weights of `table`'s rows after folding in all pattern children on the
     /// far side from `parent`.
     fn subtree_weights(&self, q: &Query, table: usize, parent: usize) -> Vec<f64> {
-        let t = &self.ds.tables[table];
         let mut w = self.filter_mask(q, table);
         for &(neighbor, edge_idx) in &self.adj[table] {
             if neighbor == parent || !q.tables.contains(&neighbor) {
                 continue;
             }
-            let edge = self.ds.schema.edges[edge_idx];
-            let (my_col, child_col) = if edge.left.0 == table {
-                (edge.left.1, edge.right.1)
+            let edge = &self.edges[edge_idx];
+            let (mine, child) = if self.ds.schema.edges[edge_idx].left.0 == table {
+                (0, 1)
             } else {
-                (edge.right.1, edge.left.1)
+                (1, 0)
             };
-            // A child with no predicates and no further pattern neighbors
-            // contributes all-1 weights, so its fold is exactly the
-            // precomputed unfiltered group-by sums. Both are accumulated in
-            // row order (+1.0 per row), so the cached path is bit-identical
-            // to the recomputed one.
+            // Weights are non-negative integers held exactly (1.0 or 0.0
+            // after the mask, products of group sums after a fold). Each
+            // group sum starts at 0.0 and adds the same positive child
+            // weights in the same row order as a per-value hash-map fold
+            // would, and a value on one side only reads 0.0 as a missed
+            // lookup would, so the dense fold is bit-identical to it. A
+            // child with no predicates and no further pattern neighbors has
+            // all-1 weights, so its fold is exactly the precomputed per-side
+            // counts (also +1.0 per row in row order).
             let trivial = q.predicates_on(neighbor).next().is_none()
                 && self.adj[neighbor]
                     .iter()
                     .all(|&(nb, _)| nb == table || !q.tables.contains(&nb));
             let computed;
-            let sums: &HashMap<i64, f64> = if trivial {
-                &self.edge_sums[&(neighbor, child_col)]
+            let sums: &[f64] = if trivial {
+                &edge.counts[child]
             } else {
                 let child_w = self.subtree_weights(q, neighbor, table);
-                let child_vals = self.ds.tables[neighbor].col(child_col);
-                let mut s: HashMap<i64, f64> = HashMap::new();
-                for (r, &cw) in child_w.iter().enumerate() {
+                let mut s = vec![0.0f64; edge.groups];
+                for (&g, &cw) in edge.codes[child].iter().zip(&child_w) {
                     if cw > 0.0 {
-                        *s.entry(child_vals[r]).or_insert(0.0) += cw;
+                        s[g as usize] += cw;
                     }
                 }
                 computed = s;
                 &computed
             };
-            let my_vals = t.col(my_col);
-            for (r, wr) in w.iter_mut().enumerate() {
-                if *wr > 0.0 {
-                    *wr *= sums.get(&my_vals[r]).copied().unwrap_or(0.0);
-                }
+            // Sums are finite, so a dead row stays 0.0 without a branch.
+            for (wr, &g) in w.iter_mut().zip(&edge.codes[mine]) {
+                *wr *= sums[g as usize];
             }
         }
         w
@@ -129,11 +189,8 @@ impl<'a> Executor<'a> {
         let t = &self.ds.tables[table];
         let mut w = vec![1.0f64; t.num_rows()];
         for p in q.predicates_on(table) {
-            let col = t.col(p.col);
-            for (r, wr) in w.iter_mut().enumerate() {
-                if *wr > 0.0 && !(p.lo..=p.hi).contains(&col[r]) {
-                    *wr = 0.0;
-                }
+            for (wr, &v) in w.iter_mut().zip(t.col(p.col)) {
+                *wr = if p.lo <= v && v <= p.hi { *wr } else { 0.0 };
             }
         }
         w
@@ -162,10 +219,10 @@ impl<'a> Executor<'a> {
     /// Exact cardinalities of a batch of queries, fanned out over the
     /// deterministic pool (`PACE_THREADS`) when the calibrated
     /// profitability oracle says the batch is worth it. Queries are
-    /// independent, the per-edge group-by sums are shared read-only across
-    /// workers, and per-chunk results are concatenated in chunk order, so
-    /// the result is identical to mapping [`Executor::count`] sequentially
-    /// whatever grain the oracle picks.
+    /// independent, the per-edge group codes and counts are shared read-only
+    /// across workers, and per-chunk results are concatenated in chunk
+    /// order, so the result is identical to mapping [`Executor::count`]
+    /// sequentially whatever grain the oracle picks.
     pub fn count_batch(&self, queries: &[Query]) -> Vec<u64> {
         let _span = pace_trace::span("engine::count_batch");
         // One query costs O(sum of pattern table rows); model an average
@@ -482,7 +539,7 @@ mod tests {
         assert_eq!(Executor::new(&ds).count(&join), 0);
     }
 
-    /// The trivial-child fast path (cached unfiltered group-by sums) must
+    /// The trivial-child fast path (precomputed per-side group counts) must
     /// agree with the brute-force reference, and a predicate on the child
     /// must still take the recomputed path.
     #[test]

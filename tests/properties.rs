@@ -43,6 +43,64 @@ fn chain_db(a_vals: Vec<i64>, b_fk: Vec<u8>, b_vals: Vec<i64>, c_fk: Vec<u8>) ->
     Dataset::new(schema, vec![a, b, c])
 }
 
+/// Sparse and negative join values: nothing a dense `fk % n` draw produces.
+const SPARSE: [i64; 5] = [i64::MIN, -7, 0, 3, 1 << 40];
+
+/// A star `a — hub — b` with `c` under `a`, so `hub.id` is the endpoint of
+/// two edges. Every join value is drawn from [`SPARSE`] by index; `hub` also
+/// gets an id (`5`) no child references, and `a` and `c` each a foreign key
+/// (`-1`, `9`) no parent row holds, so every edge has values on one side
+/// only.
+fn star_db(
+    hub: Vec<(usize, i64)>,
+    a: Vec<(usize, usize, i64)>,
+    b: Vec<(usize, i64)>,
+    c: Vec<usize>,
+) -> Dataset {
+    let schema = Schema::new(
+        "star",
+        vec![
+            table("hub", &["id"], &[], &["x"]),
+            table("a", &["id"], &["hub_id"], &["y"]),
+            table("b", &["id"], &["hub_id"], &["z"]),
+            table("c", &["id"], &["a_id"], &[]),
+        ],
+        vec![
+            JoinEdge {
+                left: (0, 0),
+                right: (1, 1),
+            },
+            JoinEdge {
+                left: (0, 0),
+                right: (2, 1),
+            },
+            JoinEdge {
+                left: (1, 0),
+                right: (3, 1),
+            },
+        ],
+    );
+    let hub_t = Table::from_columns(vec![
+        hub.iter().map(|&(id, _)| SPARSE[id]).chain([5]).collect(),
+        hub.iter().map(|&(_, x)| x).chain([0]).collect(),
+    ]);
+    let a_t = Table::from_columns(vec![
+        a.iter().map(|&(id, _, _)| SPARSE[id]).chain([0]).collect(),
+        a.iter().map(|&(_, fk, _)| SPARSE[fk]).chain([-1]).collect(),
+        a.iter().map(|&(_, _, y)| y).chain([0]).collect(),
+    ]);
+    let b_t = Table::from_columns(vec![
+        (0..b.len() as i64).collect(),
+        b.iter().map(|&(fk, _)| SPARSE[fk]).collect(),
+        b.iter().map(|&(_, z)| z).collect(),
+    ]);
+    let c_t = Table::from_columns(vec![
+        (0..=c.len() as i64).collect(),
+        c.iter().map(|&fk| SPARSE[fk]).chain([9]).collect(),
+    ]);
+    Dataset::new(schema, vec![hub_t, a_t, b_t, c_t])
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -73,6 +131,52 @@ proptest! {
         }
         let q = Query::new(tables, predicates);
         prop_assert_eq!(exec.count(&q), naive_count(&ds, &q));
+    }
+
+    #[test]
+    fn dictionary_encoded_count_matches_bruteforce_on_sparse_star(
+        hub in prop::collection::vec((0usize..5, 0i64..10), 1..5),
+        a in prop::collection::vec((0usize..5, 0usize..5, 0i64..10), 1..5),
+        b in prop::collection::vec((0usize..5, 0i64..10), 1..5),
+        c in prop::collection::vec(0usize..5, 1..4),
+        lo in 0i64..10,
+        width in 0i64..10,
+    ) {
+        let ds = star_db(hub, a, b, c);
+        let exec = Executor::new(&ds);
+        let mut queries = vec![];
+        for pattern in ds.schema.connected_patterns(4) {
+            queries.push(Query::new(pattern.clone(), vec![]));
+            // A predicate on a child (`a.y` or `b.z`) forces the fold off
+            // the unfiltered-counts fast path.
+            for (table, col) in [(1, 2), (2, 2)] {
+                if pattern.len() > 1 && pattern.contains(&table) {
+                    let p = Predicate { table, col, lo, hi: lo + width };
+                    queries.push(Query::new(pattern.clone(), vec![p]));
+                }
+            }
+        }
+        let counts: Vec<u64> = queries.iter().map(|q| exec.count(q)).collect();
+        prop_assert_eq!(exec.count_batch(&queries), counts.clone());
+        for (q, &n) in queries.iter().zip(&counts) {
+            prop_assert_eq!(n, naive_count(&ds, q), "pattern {:?}", &q.tables);
+            for &t in &q.tables {
+                let single = Query::new(
+                    vec![t],
+                    q.predicates_on(t).copied().collect(),
+                );
+                prop_assert_eq!(exec.filtered_size(q, t), naive_count(&ds, &single));
+            }
+            for subset in ds.schema.connected_patterns(4) {
+                if subset.iter().all(|t| q.tables.contains(t)) {
+                    let sub = Query::new(
+                        subset.clone(),
+                        q.predicates.iter().copied().filter(|p| subset.contains(&p.table)).collect(),
+                    );
+                    prop_assert_eq!(exec.count_subset(q, &subset), naive_count(&ds, &sub));
+                }
+            }
+        }
     }
 
     #[test]
