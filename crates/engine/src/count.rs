@@ -217,12 +217,12 @@ impl<'a> Executor<'a> {
     }
 
     /// Exact cardinalities of a batch of queries, fanned out over the
-    /// deterministic pool (`PACE_THREADS`) when the calibrated
-    /// profitability oracle says the batch is worth it. Queries are
+    /// deterministic pool (`PACE_THREADS`) when the profitability rule
+    /// (`pool::cost::decide`) says the batch is worth it. Queries are
     /// independent, the per-edge group codes and counts are shared read-only
     /// across workers, and per-chunk results are concatenated in chunk
     /// order, so the result is identical to mapping [`Executor::count`]
-    /// sequentially whatever grain the oracle picks.
+    /// sequentially whatever grain the rule picks.
     pub fn count_batch(&self, queries: &[Query]) -> Vec<u64> {
         let _span = pace_trace::span("engine::count_batch");
         // One query costs O(sum of pattern table rows); model an average

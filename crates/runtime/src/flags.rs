@@ -12,8 +12,8 @@
 //!   corrupted tape.
 //!
 //! [`EnvSpec`] is the string-valued companion for switches that carry a
-//! *spec* rather than a mode: the `PACE_FAULTS` fault matrix and the
-//! `PACE_SCHED_COST` cost-model pin ([`crate::cost`]).
+//! *spec* rather than a mode; the `PACE_FAULTS` fault matrix is the only
+//! one.
 //!
 //! Every variable is read once, on first query; tests and embedders can
 //! override at any time with [`EnvFlag::set`] / [`EnvSpec::set`]. The types
@@ -115,11 +115,10 @@ fn encode(mode: FlagMode) -> u8 {
 
 /// A lazily-read, process-global *string-valued* environment switch — the
 /// free-form companion of [`EnvFlag`] for instrumentation that needs a spec
-/// rather than an on/off/strict mode (the `PACE_FAULTS` fault matrix, the
-/// `PACE_SCHED_COST` cost-model pin). Shares the flag conventions: the
-/// variable is read once on first query, unset/empty/`0` means "off", and
-/// tests or embedders can override the value at any time with
-/// [`EnvSpec::set`].
+/// rather than an on/off/strict mode (the `PACE_FAULTS` fault matrix).
+/// Shares the flag conventions: the variable is read once on first query,
+/// unset/empty/`0` means "off", and tests or embedders can override the
+/// value at any time with [`EnvSpec::set`].
 pub struct EnvSpec {
     name: &'static str,
     state: std::sync::Mutex<Option<Option<String>>>,

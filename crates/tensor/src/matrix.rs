@@ -23,13 +23,12 @@ use std::fmt;
 const MATMUL_PANEL: usize = 128;
 
 // Whether (and how coarsely) matmul and map/zip fan out over the pool is
-// decided by the calibrated profitability oracle (`pool::cost::decide`)
-// instead of hand-picked FLOP thresholds: on machines where dispatch
-// overhead outweighs the region, the oracle answers `Sequential` and the
-// kernels stay inline. The resulting grids are still pure functions of the
-// shape and the per-process cost constants — never of the thread count —
-// and these regions' results are chunking-independent, so determinism
-// across `PACE_THREADS` settings is preserved.
+// decided by the fixed profitability rule (`pool::cost::decide`) instead of
+// hand-picked FLOP thresholds: when dispatch overhead outweighs the region,
+// the rule answers `Sequential` and the kernels stay inline. The resulting
+// grids are pure functions of the shape — never of the thread count — and
+// these regions' results are chunking-independent, so determinism across
+// `PACE_THREADS` settings is preserved.
 
 /// Accumulates `av · b_row` into `out_row` — one rank-1 row update of the
 /// panel kernel, in ascending-`j` order.
@@ -750,8 +749,8 @@ mod tests {
         bv[5 * m + 3] = f32::NAN;
         let a = Matrix::from_vec(n, k, av);
         let b = Matrix::from_vec(k, m, bv);
-        // Force a parallel-friendly cost model so the fan-out path runs
-        // even on machines where calibration would answer Sequential.
+        // Force a parallel-friendly cost model so the fan-out path runs on
+        // a shape the fixed model keeps inline.
         pool::cost::set_constants(Some(pool::cost::CostConstants {
             dispatch_ns: 100.0,
             task_ns: 10.0,
